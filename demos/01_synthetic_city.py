@@ -13,7 +13,7 @@ term is the planted geographical confounder.
 import numpy as np
 
 from urbanrec.synthgen import CityConfig, generate_city, same_region_rate
-from urbanrec.ukg import split_subgraphs
+from urbanrec.ukg import RELATION_IDS, split_subgraphs
 
 ###############################################################################
 # A small city.  Every quantity derives deterministically from the seed.
@@ -42,9 +42,9 @@ print(f"functional side:   {len(func.triplets)} triplets, "
 # Brand footprints follow a power law: a handful of city-wide chains and a
 # long tail of boutiques, the way real cities look.
 
-brand_triplets = [t for t in kg.triplets if t.relation == "BrandOf"]
-counts = np.bincount([t.tail.index for t in brand_triplets],
-                     minlength=cfg.n_brands)
+# kg.triplets holds one (relation id, head index, tail index) row per triplet
+brand_of = kg.triplets[kg.triplets[:, 0] == RELATION_IDS["BrandOf"]]
+counts = np.bincount(brand_of[:, 2], minlength=cfg.n_brands)
 top = np.sort(counts)[::-1]
 print(f"\nlargest brand footprints: {top[:5].tolist()} outlets")
 print(f"median footprint: {int(np.median(counts))} outlets")

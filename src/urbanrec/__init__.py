@@ -9,7 +9,8 @@ venue gets purely from where it sits.
 Modules
 -------
 autodiff        reverse-mode gradient tape over numpy arrays
-ukg             knowledge-graph schema, parsing, adjacency indexing
+ukg             knowledge-graph schema, id-array triplet store, parsing,
+                adjacency edge arrays
 interactions    check-in matrix, chronology-free splits, negative sampling
 model           parameter container, initialization, checkpoint format
 propagation     intent-aware graph convolution layers
@@ -27,7 +28,6 @@ from .ukg import (  # noqa: F401
     GEO_RELATIONS,
     FUNC_RELATIONS,
     ENTITY_CLASSES,
-    Triplet,
     UrbanKG,
     parse_triplets,
     serialize_triplets,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .counterfactual import SCORERS
 from .evaluation import evaluate, rank_candidates
-from .interactions import parse_checkins, serialize_checkins, split_dataset
+from .interactions import (InteractionSet, parse_checkins, serialize_checkins,
+                           split_dataset)
 from .model import DimsMismatch, load_checkpoint, save_checkpoint
 from .propagation import build_graphs, dims_for, forward
 from .synthgen import (CityConfig, functional_ndcg, generate_city,
@@ -155,7 +156,11 @@ def _load_data(data_dir: str):
     for p in (kg_path, ck_path):
         if not p.exists():
             raise FileNotFoundError(f"missing data file: {p}")
-    return parse_triplets(kg_path.read_text()), parse_checkins(ck_path.read_text())
+    kg = parse_triplets(kg_path.read_text())
+    iset = parse_checkins(ck_path.read_text())
+    # parse_checkins infers n_pois from the largest id seen, which falls short
+    # of the graph when its last POIs drew no check-in
+    return kg, InteractionSet(iset.n_users, kg.n_pois, iset.pairs)
 
 
 def _load_ground_truth(data_dir: str):

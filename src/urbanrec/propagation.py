@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .interactions import DatasetSplit
 from .model import ModelDims, ModelParams, intent_embeddings, user_intent_attention
-from .ukg import AdjacencyIndex, UrbanKG, blended_subgraph, build_adjacency, \
+from .ukg import SubGraph, UrbanKG, blended_subgraph, build_adjacency, \
     split_subgraphs
 
 
@@ -41,24 +41,13 @@ class PropagationGraph:
     agg_t: sp.csr_matrix
 
     @classmethod
-    def from_adjacency(cls, adj: AdjacencyIndex, n_pois: int) -> "PropagationGraph":
-        src, rel, dst, weight = [], [], [], []
-        for node, entries in enumerate(adj.neighbors):
-            deg = len(entries)
-            for rid, nb, _inv in entries:
-                dst.append(node)
-                src.append(nb)
-                rel.append(rid)
-                weight.append(1.0 / deg)
-        n_edges = len(src)
-        agg = sp.csr_matrix(
-            (np.array(weight), (np.array(dst, dtype=np.int64),
-                                np.arange(n_edges, dtype=np.int64))),
-            shape=(adj.n_nodes, n_edges),
-        )
-        return cls(adj.n_nodes, n_pois,
-                   np.array(src, dtype=np.int64), np.array(rel, dtype=np.int64),
-                   agg, agg.T.tocsr())
+    def from_subgraph(cls, sub: SubGraph) -> "PropagationGraph":
+        dst, src, rel = build_adjacency(sub)
+        n_nodes = sub.n_pois + sub.entity_count
+        deg = np.bincount(dst, minlength=n_nodes)
+        agg = sp.csr_matrix((1.0 / deg[dst], (dst, np.arange(len(dst)))),
+                            shape=(n_nodes, len(dst)))
+        return cls(n_nodes, sub.n_pois, src, rel, agg, agg.T.tocsr())
 
     def layer(self, X: ad.Tensor, R: ad.Tensor) -> ad.Tensor:
         """One residual update of all POI/entity rows."""
@@ -70,17 +59,9 @@ class PropagationGraph:
 
 def _user_aggregation(split: DatasetSplit) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(n_users x n_pois) matrix with 1/|train positives of u| entries."""
-    rows, cols, vals = [], [], []
-    for u in range(split.n_users):
-        pois = split.train.user_pois(u)
-        if len(pois) == 0:
-            continue
-        w = 1.0 / len(pois)
-        for p in pois:
-            rows.append(u)
-            cols.append(int(p))
-            vals.append(w)
-    mat = sp.csr_matrix((vals, (rows, cols)),
+    users, pois = split._train_users, split._train_pois
+    deg = np.bincount(users, minlength=split.n_users)
+    mat = sp.csr_matrix((1.0 / deg[users], (users, pois)),
                         shape=(split.n_users, split.n_pois))
     return mat, mat.T.tocsr()
 
@@ -110,13 +91,9 @@ def build_graphs(kg: UrbanKG, split: DatasetSplit,
         raise ValueError(
             f"kg has {kg.n_pois} POIs but interactions have {split.n_pois}")
     if blended:
-        sub = blended_subgraph(kg)
-        graph = PropagationGraph.from_adjacency(build_adjacency(sub), kg.n_pois)
-        geo = func = graph
+        geo = func = PropagationGraph.from_subgraph(blended_subgraph(kg))
     else:
-        geo_sub, func_sub = split_subgraphs(kg)
-        geo = PropagationGraph.from_adjacency(build_adjacency(geo_sub), kg.n_pois)
-        func = PropagationGraph.from_adjacency(build_adjacency(func_sub), kg.n_pois)
+        geo, func = map(PropagationGraph.from_subgraph, split_subgraphs(kg))
     user_agg, user_agg_t = _user_aggregation(split)
     return GraphBundle(geo, func, user_agg, user_agg_t,
                        split.n_users, split.n_pois, blended)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .evaluation import ndcg_at_k
 from .interactions import InteractionSet
-from .ukg import EntityRef, Triplet, UrbanKG
+from .ukg import RELATION_IDS, UrbanKG
 
 STRUCT_STREAM = 51
 LATENT_STREAM = 52
@@ -140,59 +140,48 @@ def _structure(cfg: CityConfig, brand_order: np.ndarray):
     return ba_region, poi_ba, poi_region, poi_brand, brand_cate3, parent2, parent1
 
 
+def _interleave(*blocks) -> np.ndarray:
+    """Triplet rows taking one row from each (relation, heads, tails) block in
+    turn, so that entity i's rows of every block sit together."""
+    return np.stack([
+        np.column_stack(np.broadcast_arrays(RELATION_IDS[rel], heads, tails))
+        for rel, heads, tails in blocks], axis=1).reshape(-1, 3)
+
+
 def _kg_triplets(cfg: CityConfig, ba_region, poi_ba, poi_region, poi_brand,
-                 brand_cate3, parent2, parent1) -> list[Triplet]:
-    mk = lambda hc, hi, rel, tc, ti: Triplet(
-        EntityRef(hc, int(hi)), rel, EntityRef(tc, int(ti)))
-    out: list[Triplet] = []
+                 brand_cate3, parent2, parent1) -> np.ndarray:
     side = region_grid_side(cfg.n_regions)
-
-    for p in range(cfg.n_pois):
-        b = poi_brand[p]
-        c3 = brand_cate3[b]
-        c2 = parent2[c3]
-        c1 = parent1[c2]
-        out.append(mk("POI", p, "LocateAt", "Region", poi_region[p]))
-        out.append(mk("POI", p, "BelongTo", "BusinessArea", poi_ba[p]))
-        out.append(mk("POI", p, "BrandOf", "Brand", b))
-        out.append(mk("POI", p, "Cate1Of", "Cate1", c1))
-        out.append(mk("POI", p, "Cate2Of", "Cate2", c2))
-        out.append(mk("POI", p, "Cate3Of", "Cate3", c3))
-
-    for ba in range(cfg.n_business_areas):
-        out.append(mk("BusinessArea", ba, "BaServe", "Region", ba_region[ba]))
-
-    for a in range(cfg.n_regions):
-        for b in range(a + 1, cfg.n_regions):
-            dist = region_distance(a, b, side)
-            if dist == 1:
-                out.append(mk("Region", a, "BorderBy", "Region", b))
-            elif dist == 2:
-                out.append(mk("Region", a, "NearBy", "Region", b))
-
-    for b in range(cfg.n_brands):
-        c3 = brand_cate3[b]
-        c2 = parent2[c3]
-        out.append(mk("Brand", b, "Brand2Cate1", "Cate1", parent1[c2]))
-        out.append(mk("Brand", b, "Brand2Cate2", "Cate2", c2))
-        out.append(mk("Brand", b, "Brand2Cate3", "Cate3", c3))
-
+    pois = np.arange(cfg.n_pois)
+    poi_c3 = brand_cate3[poi_brand]
+    poi_c2 = parent2[poi_c3]
+    region_a, region_b = np.triu_indices(cfg.n_regions, k=1)
+    dist = region_distance(region_a, region_b, side)
+    near = (dist == 1) | (dist == 2)
+    region_pairs = np.column_stack([
+        np.where(dist == 1, RELATION_IDS["BorderBy"], RELATION_IDS["NearBy"]),
+        region_a, region_b])[near]
+    brands = np.arange(cfg.n_brands)
+    brand_c2 = parent2[brand_cate3]
     # chain brands that share a leaf category
-    by_cate: dict[int, list[int]] = {}
-    for b in range(cfg.n_brands):
-        by_cate.setdefault(int(brand_cate3[b]), []).append(b)
-    for c3 in sorted(by_cate):
-        group = by_cate[c3]
-        for a, b in zip(group, group[1:]):
-            out.append(mk("Brand", a, "RelatedBrand", "Brand", b))
-
-    for c2 in range(cfg.n_cate2):
-        out.append(mk("Cate2", c2, "SubCate_2to1", "Cate1", parent1[c2]))
-    for c3 in range(cfg.n_cate3):
-        c2 = parent2[c3]
-        out.append(mk("Cate3", c3, "SubCate_3to1", "Cate1", parent1[c2]))
-        out.append(mk("Cate3", c3, "SubCate_3to2", "Cate2", c2))
-    return out
+    by_cate = np.argsort(brand_cate3, kind="stable")
+    chained = brand_cate3[by_cate[1:]] == brand_cate3[by_cate[:-1]]
+    cate2 = np.arange(cfg.n_cate2)
+    cate3 = np.arange(cfg.n_cate3)
+    return np.concatenate([
+        _interleave(("LocateAt", pois, poi_region), ("BelongTo", pois, poi_ba),
+                    ("BrandOf", pois, poi_brand),
+                    ("Cate1Of", pois, parent1[poi_c2]),
+                    ("Cate2Of", pois, poi_c2), ("Cate3Of", pois, poi_c3)),
+        _interleave(("BaServe", np.arange(cfg.n_business_areas), ba_region)),
+        region_pairs,
+        _interleave(("Brand2Cate1", brands, parent1[brand_c2]),
+                    ("Brand2Cate2", brands, brand_c2),
+                    ("Brand2Cate3", brands, brand_cate3)),
+        _interleave(("RelatedBrand", by_cate[:-1][chained], by_cate[1:][chained])),
+        _interleave(("SubCate_2to1", cate2, parent1)),
+        _interleave(("SubCate_3to1", cate3, parent1[parent2]),
+                    ("SubCate_3to2", cate3, parent2)),
+    ])
 
 
 def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth]:

@@ -277,6 +277,7 @@ def fit(split: DatasetSplit, bundle: GraphBundle, dims: ModelDims,
             users, pos, neg = batch_arrays(batch)
             grads, breakdown = backward(params, bundle, users, pos, neg, hp)
             vals = breakdown.floats()
+            del breakdown  # frees this step's tape before the next is built
             if vals["total"] > 1e6:
                 raise DivergedLoss(f"total loss {vals['total']:.3e} at epoch {epoch}")
             adam_step(params, grads, state, hp)
@@ -339,19 +340,13 @@ class GradcheckReport:
 def tiny_instance(seed: int = 7):
     """A hand-sized model (d=4, 3 users, 3 POIs, 2 entities per side, 2
     intents, 2 layers) exercising every gradient path."""
-    from .ukg import EntityRef, Triplet, UrbanKG
+    from .ukg import RELATION_IDS, UrbanKG
     from .interactions import InteractionSet
 
-    triplets = [
-        Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0)),
-        Triplet(EntityRef("POI", 1), "LocateAt", EntityRef("Region", 0)),
-        Triplet(EntityRef("POI", 0), "BelongTo", EntityRef("BusinessArea", 0)),
-        Triplet(EntityRef("BusinessArea", 0), "BaServe", EntityRef("Region", 0)),
-        Triplet(EntityRef("POI", 0), "BrandOf", EntityRef("Brand", 0)),
-        Triplet(EntityRef("POI", 1), "BrandOf", EntityRef("Brand", 0)),
-        Triplet(EntityRef("POI", 2), "Cate1Of", EntityRef("Cate1", 0)),
-        Triplet(EntityRef("Brand", 0), "Brand2Cate1", EntityRef("Cate1", 0)),
-    ]
+    triplets = [(RELATION_IDS[rel], head, tail) for rel, head, tail in (
+        ("LocateAt", 0, 0), ("LocateAt", 1, 0), ("BelongTo", 0, 0),
+        ("BaServe", 0, 0), ("BrandOf", 0, 0), ("BrandOf", 1, 0),
+        ("Cate1Of", 2, 0), ("Brand2Cate1", 0, 0))]
     pops = {"POI": 3, "Region": 1, "BusinessArea": 1, "Brand": 1,
             "Cate1": 1, "Cate2": 0, "Cate3": 0}
     kg = UrbanKG(triplets, pops)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 GEO = "Geographical"
 FUNC = "Functional"
@@ -61,6 +63,12 @@ def _make_relations() -> dict[str, RelationType]:
 
 
 RELATIONS: dict[str, RelationType] = _make_relations()
+# A relation's id is its position here: the geographical relations, then the
+# functional ones, which is also its row in the blended 16-row table.
+RELATION_IDS = {name: i for i, name in enumerate(RELATIONS)}
+# one "HeadClass:%d<TAB>Relation<TAB>TailClass:%d" text line per relation id
+_ROW_FORMATS = tuple(f"{r.head_class}:%d\t{r.name}\t{r.tail_class}:%d"
+                     for r in RELATIONS.values())
 GEO_RELATIONS = tuple(r.name for r in RELATIONS.values() if r.kind == GEO)
 FUNC_RELATIONS = tuple(r.name for r in RELATIONS.values() if r.kind == FUNC)
 N_GEO_RELATIONS = len(GEO_RELATIONS)    # 5
@@ -83,48 +91,54 @@ class DuplicateTriplet(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class EntityRef:
-    cls: str
-    index: int
+def _class_codes(attr: str) -> np.ndarray:
+    return np.array([ENTITY_CLASSES.index(getattr(r, attr))
+                     for r in RELATIONS.values()])
 
 
-@dataclass(frozen=True)
-class Triplet:
-    head: EntityRef
-    relation: str
-    tail: EntityRef
+# class code (position in ENTITY_CLASSES) of each relation id's head and tail
+_HEAD_CLASS = _class_codes("head_class")
+_TAIL_CLASS = _class_codes("tail_class")
 
-    def __post_init__(self):
-        rel = RELATIONS.get(self.relation)
-        if rel is None:
-            raise UnknownRelation(self.relation)
-        if self.head.cls != rel.head_class or self.tail.cls != rel.tail_class:
-            raise ClassMismatch(
-                f"{self.relation} expects ({rel.head_class}, {rel.tail_class}), "
-                f"got ({self.head.cls}, {self.tail.cls})"
-            )
 
-    def key(self) -> tuple:
-        return (self.head.cls, self.head.index, self.relation,
-                self.tail.cls, self.tail.index)
+def _first_duplicate(rows: np.ndarray) -> int:
+    """Position of the first row that repeats an earlier row, or -1."""
+    order = np.lexsort(rows.T[::-1])  # stable: repeats follow their first
+    ordered = rows[order]
+    repeats = order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]
+    return int(repeats.min()) if len(repeats) else -1
 
 
 @dataclass
 class UrbanKG:
-    triplets: list[Triplet]
+    """Validated triplet store.
+
+    ``triplets`` is an (n, 3) int64 array of (relation id, head index, tail
+    index) rows in file order.  The relation id is the position in
+    ``RELATIONS``; the head and tail classes follow from the relation schema,
+    and indices count within their class.
+    """
+
+    triplets: np.ndarray
     populations: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        observed = {c: 0 for c in ENTITY_CLASSES}
-        seen: set[tuple] = set()
-        for t in self.triplets:
-            k = t.key()
-            if k in seen:
-                raise DuplicateTriplet(str(k))
-            seen.add(k)
-            for ref in (t.head, t.tail):
-                observed[ref.cls] = max(observed[ref.cls], ref.index + 1)
+        rows = np.asarray(self.triplets, dtype=np.int64).reshape(len(self.triplets), 3)
+        self.triplets = rows
+        rid, head, tail = rows.T
+        bad = rid[(rid < 0) | (rid >= len(RELATIONS))]
+        if len(bad):
+            raise UnknownRelation(f"relation id {bad[0]} not in [0, {len(RELATIONS)})")
+        if np.any(rows[:, 1:] < 0):
+            raise ValueError("negative entity id")
+        dup = _first_duplicate(rows)
+        if dup >= 0:
+            r, h, t = rows[dup].tolist()
+            raise DuplicateTriplet(_ROW_FORMATS[r] % (h, t))
+        observed = np.zeros(len(ENTITY_CLASSES), dtype=np.int64)
+        np.maximum.at(observed, np.concatenate([_HEAD_CLASS[rid], _TAIL_CLASS[rid]]),
+                      np.concatenate([head, tail]) + 1)
+        observed = dict(zip(ENTITY_CLASSES, observed.tolist()))
         if not self.populations:
             self.populations = observed
         else:
@@ -144,7 +158,7 @@ class UrbanKG:
 
 @dataclass
 class SubGraph:
-    """All triplets of one relation kind, plus that side's entity id layout.
+    """The triplet rows of one relation kind, plus that side's entity id layout.
 
     Non-POI entities get a dense local id: entity classes are laid out in
     alphabetical blocks after the POIs, and ``entity_count`` is the total
@@ -152,98 +166,63 @@ class SubGraph:
     """
 
     kind: str
-    triplets: list[Triplet]
+    triplets: np.ndarray
     n_pois: int
     class_offsets: dict[str, int]
     entity_count: int
 
-    def local_id(self, ref: EntityRef) -> int:
-        """Map an entity to the propagation id space: POIs first, then blocks."""
-        if ref.cls == "POI":
-            return ref.index
-        return self.n_pois + self.class_offsets[ref.cls] + ref.index
-
-    @property
-    def n_relations(self) -> int:
-        return N_GEO_RELATIONS if self.kind == GEO else N_FUNC_RELATIONS
-
-
-def split_subgraphs(kg: UrbanKG) -> tuple[SubGraph, SubGraph]:
-    """Partition triplets by relation kind into (geographical, functional)."""
-    sides = {GEO: [], FUNC: []}
-    for t in kg.triplets:
-        sides[RELATIONS[t.relation].kind].append(t)
-    out = []
-    for kind, classes in ((GEO, GEO_ENTITY_CLASSES), (FUNC, FUNC_ENTITY_CLASSES)):
-        offsets: dict[str, int] = {}
-        total = 0
-        for cls in classes:
-            offsets[cls] = total
-            total += kg.populations.get(cls, 0)
-        out.append(SubGraph(kind, sides[kind], kg.n_pois, offsets, total))
-    return out[0], out[1]
+    def local_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(head node, relation row, tail node) of every triplet, with nodes
+        in the propagation id space (POIs first, then the class blocks) and
+        rows indexing this side's relation table."""
+        base = {c: self.n_pois + off for c, off in self.class_offsets.items()}
+        base["POI"] = 0
+        node_base = np.array([base.get(c, 0) for c in ENTITY_CLASSES])
+        rid, head, tail = self.triplets.T
+        first_row = N_GEO_RELATIONS if self.kind == FUNC else 0
+        return (node_base[_HEAD_CLASS[rid]] + head, rid - first_row,
+                node_base[_TAIL_CLASS[rid]] + tail)
 
 
-def blended_subgraph(kg: UrbanKG) -> SubGraph:
-    """All 16 relations in one graph; used by the no-disentanglement ablation.
-
-    Relation local ids are re-assigned over the full alphabetical relation
-    list so the single relation table has 16 rows.
-    """
-    classes = GEO_ENTITY_CLASSES + FUNC_ENTITY_CLASSES
+def _subgraph(kg: UrbanKG, kind: str, classes: tuple, rows: np.ndarray) -> SubGraph:
     offsets: dict[str, int] = {}
     total = 0
     for cls in classes:
         offsets[cls] = total
         total += kg.populations.get(cls, 0)
-    return SubGraph("Blended", list(kg.triplets), kg.n_pois, offsets, total)
+    return SubGraph(kind, rows, kg.n_pois, offsets, total)
 
 
-def blended_relation_id(name: str) -> int:
-    """Local id of a relation inside the blended 16-row table."""
-    rel = RELATIONS[name]
-    return rel.local_id if rel.kind == GEO else N_GEO_RELATIONS + rel.local_id
+def split_subgraphs(kg: UrbanKG) -> tuple[SubGraph, SubGraph]:
+    """Partition triplets by relation kind into (geographical, functional)."""
+    geo = kg.triplets[:, 0] < N_GEO_RELATIONS  # geographical ids come first
+    return (_subgraph(kg, GEO, GEO_ENTITY_CLASSES, kg.triplets[geo]),
+            _subgraph(kg, FUNC, FUNC_ENTITY_CLASSES, kg.triplets[~geo]))
 
 
-@dataclass
-class AdjacencyIndex:
-    """Per-node sorted neighbor lists over a subgraph's local id space.
+def blended_subgraph(kg: UrbanKG) -> SubGraph:
+    """All 16 relations in one graph; used by the no-disentanglement ablation.
 
-    Each triplet contributes one forward entry at its head and one inverse
-    entry at its tail, so every entity can both send and receive messages.
-    Entries are (relation_local_id, neighbor_local_id, is_inverse).
+    The relation id doubles as the row of the single 16-row relation table.
     """
-
-    n_nodes: int
-    neighbors: list[list[tuple[int, int, bool]]]
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
+    return _subgraph(kg, "Blended", GEO_ENTITY_CLASSES + FUNC_ENTITY_CLASSES,
+                     kg.triplets)
 
 
-def build_adjacency(sub: SubGraph, relation_id=None) -> AdjacencyIndex:
-    """Index a subgraph for propagation.
+def build_adjacency(sub: SubGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge arrays (dst, src, rel) of a subgraph in aggregation order.
 
-    ``relation_id`` maps a relation name to its local embedding row; it
-    defaults to the subgraph kind's own table but the blended ablation
-    passes the 16-row mapping.
+    Each triplet contributes one forward edge into its head and one inverse
+    edge into its tail, so every entity can both send and receive messages.
+    Edges are ordered by destination, then relation row, then source, with
+    a forward edge before an inverse edge that ties with it.
     """
-    if relation_id is None:
-        if sub.kind == "Blended":
-            relation_id = blended_relation_id
-        else:
-            relation_id = lambda name: RELATIONS[name].local_id
-    n_nodes = sub.n_pois + sub.entity_count
-    neighbors: list[list[tuple[int, int, bool]]] = [[] for _ in range(n_nodes)]
-    for t in sub.triplets:
-        rid = relation_id(t.relation)
-        h = sub.local_id(t.head)
-        tl = sub.local_id(t.tail)
-        neighbors[h].append((rid, tl, False))
-        neighbors[tl].append((rid, h, True))
-    for lst in neighbors:
-        lst.sort()
-    return AdjacencyIndex(n_nodes, neighbors)
+    head, rel, tail = sub.local_edges()
+    dst = np.concatenate([head, tail])
+    src = np.concatenate([tail, head])
+    rel = np.concatenate([rel, rel])
+    order = np.lexsort((src, rel, dst))
+    return dst[order], src[order], rel[order]
 
 
 # -- text format ------------------------------------------------------------------
@@ -254,7 +233,7 @@ def build_adjacency(sub: SubGraph, relation_id=None) -> AdjacencyIndex:
 # (needed when a class has entities no triplet references).
 
 
-def _parse_ref(token: str, lineno: int) -> EntityRef:
+def _parse_ref(token: str, lineno: int) -> tuple[str, int]:
     cls, sep, idx = token.partition(":")
     if not sep or cls not in ENTITY_CLASSES:
         raise MalformedLine(f"line {lineno}: bad entity reference {token!r}")
@@ -264,7 +243,7 @@ def _parse_ref(token: str, lineno: int) -> EntityRef:
         raise MalformedLine(f"line {lineno}: bad entity id {idx!r}") from None
     if index < 0:
         raise MalformedLine(f"line {lineno}: negative entity id {index}")
-    return EntityRef(cls, index)
+    return cls, index
 
 
 def _parse_counts_header(line: str, lineno: int) -> dict[str, int]:
@@ -282,10 +261,11 @@ def _parse_counts_header(line: str, lineno: int) -> dict[str, int]:
 
 def parse_triplets(text: str) -> UrbanKG:
     """Parse the triplet TSV format into a validated graph."""
-    triplets: list[Triplet] = []
-    seen: set[tuple] = set()
+    flat: list[int] = []      # rid, head, tail of each triplet line
+    linenos: list[int] = []
     populations: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -296,28 +276,30 @@ def parse_triplets(text: str) -> UrbanKG:
         parts = line.split("\t")
         if len(parts) != 3:
             raise MalformedLine(f"line {lineno}: expected 3 tab-separated fields")
-        head = _parse_ref(parts[0], lineno)
-        rel_name = parts[1]
-        if rel_name not in RELATIONS:
-            raise UnknownRelation(f"line {lineno}: {rel_name!r}")
-        tail = _parse_ref(parts[2], lineno)
-        try:
-            t = Triplet(head, rel_name, tail)
-        except ClassMismatch as e:
-            raise ClassMismatch(f"line {lineno}: {e}") from None
-        k = t.key()
-        if k in seen:
-            raise DuplicateTriplet(f"line {lineno}: {line!r}")
-        seen.add(k)
-        triplets.append(t)
-    return UrbanKG(triplets, populations)
+        head_cls, head = _parse_ref(parts[0], lineno)
+        rel = RELATIONS.get(parts[1])
+        if rel is None:
+            raise UnknownRelation(f"line {lineno}: {parts[1]!r}")
+        tail_cls, tail = _parse_ref(parts[2], lineno)
+        if head_cls != rel.head_class or tail_cls != rel.tail_class:
+            raise ClassMismatch(
+                f"line {lineno}: {rel.name} expects ({rel.head_class}, "
+                f"{rel.tail_class}), got ({head_cls}, {tail_cls})")
+        flat += (RELATION_IDS[rel.name], head, tail)
+        linenos.append(lineno)
+    rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
+    dup = _first_duplicate(rows)
+    if dup >= 0:
+        lineno = linenos[dup]
+        raise DuplicateTriplet(f"line {lineno}: {lines[lineno - 1].strip()!r}")
+    return UrbanKG(rows, populations)
 
 
 def serialize_triplets(kg: UrbanKG) -> str:
     """Inverse of parse_triplets; always emits the counts header."""
     lines = ["#counts " + " ".join(f"{c}={kg.populations.get(c, 0)}"
                                    for c in ENTITY_CLASSES)]
-    for t in kg.triplets:
-        lines.append(f"{t.head.cls}:{t.head.index}\t{t.relation}\t"
-                     f"{t.tail.cls}:{t.tail.index}")
+    rids, heads, tails = (col.tolist() for col in kg.triplets.T)
+    lines += [_ROW_FORMATS[rid] % (head, tail)
+              for rid, head, tail in zip(rids, heads, tails)]
     return "\n".join(lines) + "\n"

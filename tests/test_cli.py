@@ -150,6 +150,25 @@ def test_train_missing_data_file(tmp_path, capsys):
     assert "kg.tsv" in err
 
 
+def test_train_and_eval_when_last_poi_has_no_checkin(tmp_path, capsys):
+    city = tmp_path / "city"
+    assert run("gen", "--out", str(city), "--n-users", "20", "--n-pois", "200",
+               "--interactions-per-user", "5", "--seed", "0") == 0
+    # no check-in lands on POI 199, so the ids alone imply 199 POIs
+    assert parse_checkins((city / "checkins.tsv").read_text()).n_pois == 199
+    train(city, tmp_path / "run")
+    assert run("eval", "--data", str(city), "--checkpoint",
+               str(tmp_path / "run" / "checkpoint.bin")) == 0
+    # a check-in at a POI the graph lacks still fails loudly
+    with open(city / "checkins.tsv", "a") as f:
+        f.write("0\t200\n")
+    capsys.readouterr()
+    assert run("train", "--data", str(city), "--out", str(tmp_path / "bad"),
+               *TRAIN_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error ValueError:") and "poi id 200" in err
+
+
 def test_eval_dims_mismatch_names_both(tmp_path, capsys):
     gen_city(tmp_path / "city")
     train(tmp_path / "city", tmp_path / "run")

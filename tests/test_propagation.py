@@ -9,7 +9,9 @@ from urbanrec import model as md
 from urbanrec import propagation as pg
 from urbanrec import ukg
 from urbanrec.interactions import DatasetSplit, InteractionSet
-from urbanrec.ukg import EntityRef, RELATIONS, Triplet, UrbanKG
+from urbanrec.ukg import RELATION_IDS, UrbanKG
+
+LOCATE_AT = RELATION_IDS["LocateAt"]
 
 
 def all_train_split(n_users, n_pois, pairs) -> DatasetSplit:
@@ -20,33 +22,29 @@ def all_train_split(n_users, n_pois, pairs) -> DatasetSplit:
 def random_city_kg(rng, n_pois, pops) -> UrbanKG:
     """Random triplets referencing every class population in ``pops``."""
     triplets = set()
+
+    def add(rel, head, tail_cls):
+        triplets.add((RELATION_IDS[rel], head, int(rng.integers(pops[tail_cls]))))
+
     for p in range(n_pois):
-        triplets.add(Triplet(EntityRef("POI", p), "LocateAt",
-                             EntityRef("Region", int(rng.integers(pops["Region"])))))
-        triplets.add(Triplet(EntityRef("POI", p), "BrandOf",
-                             EntityRef("Brand", int(rng.integers(pops["Brand"])))))
+        add("LocateAt", p, "Region")
+        add("BrandOf", p, "Brand")
         if rng.random() < 0.5:
-            triplets.add(Triplet(EntityRef("POI", p), "BelongTo",
-                                 EntityRef("BusinessArea",
-                                           int(rng.integers(pops["BusinessArea"])))))
+            add("BelongTo", p, "BusinessArea")
         if rng.random() < 0.5:
-            triplets.add(Triplet(EntityRef("POI", p), "Cate1Of",
-                                 EntityRef("Cate1", int(rng.integers(pops["Cate1"])))))
+            add("Cate1Of", p, "Cate1")
     for b in range(pops["Brand"]):
-        triplets.add(Triplet(EntityRef("Brand", b), "Brand2Cate1",
-                             EntityRef("Cate1", int(rng.integers(pops["Cate1"])))))
+        add("Brand2Cate1", b, "Cate1")
     if pops["Region"] >= 2:
-        triplets.add(Triplet(EntityRef("Region", 0), "BorderBy", EntityRef("Region", 1)))
+        triplets.add((RELATION_IDS["BorderBy"], 0, 1))
     full_pops = {c: 0 for c in ukg.ENTITY_CLASSES}
     full_pops.update({"POI": n_pois, **pops})
-    return UrbanKG(sorted(triplets, key=lambda t: t.key()), full_pops)
+    return UrbanKG(sorted(triplets), full_pops)
 
 
 def to_local_triplets(sub):
-    rid = (ukg.blended_relation_id if sub.kind == "Blended"
-           else lambda n: RELATIONS[n].local_id)
-    return [(sub.local_id(t.head), rid(t.relation), sub.local_id(t.tail))
-            for t in sub.triplets]
+    head, rel, tail = sub.local_edges()
+    return list(zip(head.tolist(), rel.tolist(), tail.tolist()))
 
 
 def random_setup(seed, n_users=3, n_pois=4, n_layers=2, n_intents=2, d=5):
@@ -118,7 +116,7 @@ def test_zero_messages_identity():
 
 def test_isolated_poi_unchanged():
     # poi 3 appears in no KG triplet: its chunk only changes via nothing
-    kg = UrbanKG([Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0))],
+    kg = UrbanKG([(LOCATE_AT, 0, 0)],
                  {"POI": 4, "Region": 1, "BusinessArea": 0, "Brand": 0,
                   "Cate1": 0, "Cate2": 0, "Cate3": 0})
     split = all_train_split(2, 4, {(0, 0)})
@@ -135,7 +133,7 @@ def test_isolated_poi_unchanged():
 
 def test_single_neighbor_identity_relation():
     # one POI, one region, relation embedding all ones: p' = p + v
-    kg = UrbanKG([Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0))],
+    kg = UrbanKG([(LOCATE_AT, 0, 0)],
                  {"POI": 1, "Region": 1, "BusinessArea": 0, "Brand": 0,
                   "Cate1": 0, "Cate2": 0, "Cate3": 0})
     split = all_train_split(1, 1, set())
@@ -153,7 +151,7 @@ def test_single_neighbor_identity_relation():
 def test_user_single_positive_single_intent_collapse():
     # |I|=1, beta=1, one positive: u' = u + e ⊙ p; with R rows averaging to
     # ones e=1 so u' = u + p
-    kg = UrbanKG([Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0))],
+    kg = UrbanKG([(LOCATE_AT, 0, 0)],
                  {"POI": 1, "Region": 1, "BusinessArea": 0, "Brand": 0,
                   "Cate1": 0, "Cate2": 0, "Cate3": 0})
     split = all_train_split(1, 1, {(0, 0)})
@@ -180,10 +178,9 @@ def test_fusion_exactness():
 def test_locality_on_path_graph():
     # chain p0 - r0 - r1 - r2 - r3; with l layers a perturbation l+1 hops
     # away cannot reach p0
-    chain = [Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0)),
-             Triplet(EntityRef("Region", 0), "BorderBy", EntityRef("Region", 1)),
-             Triplet(EntityRef("Region", 1), "BorderBy", EntityRef("Region", 2)),
-             Triplet(EntityRef("Region", 2), "BorderBy", EntityRef("Region", 3))]
+    border_by = RELATION_IDS["BorderBy"]
+    chain = [(LOCATE_AT, 0, 0), (border_by, 0, 1), (border_by, 1, 2),
+             (border_by, 2, 3)]
     pops = {"POI": 1, "Region": 4, "BusinessArea": 0, "Brand": 0,
             "Cate1": 0, "Cate2": 0, "Cate3": 0}
     split = all_train_split(1, 1, set())
@@ -221,7 +218,7 @@ def test_blended_bundle_uses_full_graph_on_both_sides():
 
 
 def test_graph_bundle_poi_count_mismatch():
-    kg = UrbanKG([Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0))])
+    kg = UrbanKG([(LOCATE_AT, 0, 0)])
     split = all_train_split(1, 5, {(0, 0)})
     with pytest.raises(ValueError):
         pg.build_graphs(kg, split)

@@ -29,18 +29,41 @@ def test_config_validation():
         sg.CityConfig(n_pois=10, interactions_per_user=11)
 
 
+POI_RELATIONS = ("LocateAt", "BelongTo", "BrandOf", "Cate1Of", "Cate2Of", "Cate3Of")
+
+
+def rows_of(kg, name):
+    """(heads, tails) of every triplet of one relation."""
+    rows = kg.triplets[kg.triplets[:, 0] == ukg.RELATION_IDS[name]]
+    return rows[:, 1], rows[:, 2]
+
+
+def tail_of(kg, name) -> dict:
+    """Head index -> tail index for a relation with one row per head."""
+    heads, tails = rows_of(kg, name)
+    return dict(zip(heads.tolist(), tails.tolist()))
+
+
+def poi_records(kg) -> dict:
+    """POI -> {relation: tail index} over the relations POIs head."""
+    by_poi = {}
+    for name in POI_RELATIONS:
+        for p, tail in tail_of(kg, name).items():
+            by_poi.setdefault(p, {})[name] = tail
+    return by_poi
+
+
 def test_every_poi_has_exactly_six_triplets():
     kg, _, _ = small_city()
-    per_poi = {}
-    rels = {}
-    for t in kg.triplets:
-        if t.head.cls == "POI":
-            per_poi[t.head.index] = per_poi.get(t.head.index, 0) + 1
-            rels.setdefault(t.head.index, set()).add(t.relation)
-    assert set(per_poi) == set(range(120))
-    assert all(c == 6 for c in per_poi.values())
-    want = {"LocateAt", "BelongTo", "BrandOf", "Cate1Of", "Cate2Of", "Cate3Of"}
-    assert all(r == want for r in rels.values())
+    poi_headed = [ukg.RELATION_IDS[n] for n, r in ukg.RELATIONS.items()
+                  if r.head_class == "POI"]
+    heads = kg.triplets[np.isin(kg.triplets[:, 0], poi_headed), 1]
+    per_poi = np.bincount(heads)
+    assert len(per_poi) == 120 and np.all(per_poi == 6)
+    want = set(POI_RELATIONS)
+    assert {ukg.RELATION_IDS[n] for n in want} == set(poi_headed)
+    for name in want:
+        assert np.all(np.bincount(rows_of(kg, name)[0], minlength=120) == 1)
 
 
 def test_kg_passes_schema_validation_and_splits():
@@ -55,44 +78,32 @@ def test_kg_passes_schema_validation_and_splits():
 def test_region_grid_adjacency():
     # 9 regions on a 3x3 grid: 12 borders, diag+straight distance-2 pairs
     kg, _, _ = small_city()
-    borders = [t for t in kg.triplets if t.relation == "BorderBy"]
-    nears = [t for t in kg.triplets if t.relation == "NearBy"]
+    borders = list(zip(*rows_of(kg, "BorderBy")))
+    nears = list(zip(*rows_of(kg, "NearBy")))
     assert len(borders) == 12
-    for t in borders:
-        assert sg.region_distance(t.head.index, t.tail.index, 3) == 1
-        assert t.head.index < t.tail.index
-    for t in nears:
-        assert sg.region_distance(t.head.index, t.tail.index, 3) == 2
+    for a, b in borders:
+        assert sg.region_distance(a, b, 3) == 1
+        assert a < b
+    for a, b in nears:
+        assert sg.region_distance(a, b, 3) == 2
 
 
 def test_category_hierarchy_consistent():
     kg, _, _ = small_city()
-    parent2 = {t.head.index: t.tail.index for t in kg.triplets
-               if t.relation == "SubCate_3to2"}
-    parent1 = {t.head.index: t.tail.index for t in kg.triplets
-               if t.relation == "SubCate_2to1"}
-    flat = {t.head.index: t.tail.index for t in kg.triplets
-            if t.relation == "SubCate_3to1"}
+    parent2 = tail_of(kg, "SubCate_3to2")
+    parent1 = tail_of(kg, "SubCate_2to1")
+    flat = tail_of(kg, "SubCate_3to1")
     for c3, c2 in parent2.items():
         assert flat[c3] == parent1[c2]
-    by_poi = {}
-    for t in kg.triplets:
-        if t.head.cls == "POI":
-            by_poi.setdefault(t.head.index, {})[t.relation] = t.tail.index
-    for recs in by_poi.values():
+    for recs in poi_records(kg).values():
         assert parent2[recs["Cate3Of"]] == recs["Cate2Of"]
         assert parent1[recs["Cate2Of"]] == recs["Cate1Of"]
 
 
 def test_poi_region_matches_business_area():
     kg, _, gt = small_city()
-    ba_region = {t.head.index: t.tail.index for t in kg.triplets
-                 if t.relation == "BaServe"}
-    by_poi = {}
-    for t in kg.triplets:
-        if t.head.cls == "POI":
-            by_poi.setdefault(t.head.index, {})[t.relation] = t.tail.index
-    for p, recs in by_poi.items():
+    ba_region = tail_of(kg, "BaServe")
+    for p, recs in poi_records(kg).items():
         assert recs["LocateAt"] == ba_region[recs["BelongTo"]]
         assert gt.poi_region[p] == recs["LocateAt"]
 
@@ -100,12 +111,8 @@ def test_poi_region_matches_business_area():
 def test_brand_independent_of_region():
     # residue-based placement must not leak into brand assignment
     kg, _, _ = small_city()
-    by_poi = {}
-    for t in kg.triplets:
-        if t.head.cls == "POI":
-            by_poi.setdefault(t.head.index, {})[t.relation] = t.tail.index
     brands_per_region = {}
-    for recs in by_poi.values():
+    for recs in poi_records(kg).values():
         brands_per_region.setdefault(recs["LocateAt"], set()).add(recs["BrandOf"])
     # every region should see many distinct brands, not a fixed residue class
     assert all(len(bs) > 5 for bs in brands_per_region.values())

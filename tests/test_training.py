@@ -1,5 +1,7 @@
 """Loss, gradient, optimizer, and fit-loop tests."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,20 @@ def test_fit_returns_best_not_last():
     best, log = tr.fit(split, bundle, dims, hp, seed=2, val_metric_fn=stub)
     np.testing.assert_array_equal(best.E_g.data, snap["E_g"])
     assert len(log) == 4
+
+
+def test_fit_frees_each_step_tape(monkeypatch):
+    # a step's tape must be garbage before the next step builds its own, or
+    # every step holds two tapes at its peak
+    split, bundle, dims = _tiny_fit_setup()
+    live, backward = [], tr.backward
+
+    def counting_backward(*args):
+        live.append(sum(isinstance(o, ad.Tensor) for o in gc.get_objects()))
+        return backward(*args)
+
+    monkeypatch.setattr(tr, "backward", counting_backward)
+    hp = tr.HyperParams(max_epochs=1, batch_size=1)
+    tr.fit(split, bundle, dims, hp, seed=0, val_metric_fn=lambda p: 0.0)
+    assert len(live) == 4
+    assert max(live[1:]) <= live[0]

@@ -5,15 +5,13 @@ import pytest
 
 from urbanrec import ukg
 from urbanrec.ukg import (
-    EntityRef,
-    Triplet,
+    RELATION_IDS,
     UrbanKG,
     parse_triplets,
     serialize_triplets,
     split_subgraphs,
     build_adjacency,
     blended_subgraph,
-    blended_relation_id,
 )
 
 
@@ -95,8 +93,8 @@ def test_parse_rejects_malformed():
 
 def test_parse_rejects_duplicates():
     line = "POI:0\tBrandOf\tBrand:0"
-    with pytest.raises(ukg.DuplicateTriplet):
-        parse_triplets(f"{line}\n{line}\n")
+    with pytest.raises(ukg.DuplicateTriplet, match="line 3"):
+        parse_triplets(f"{line}\n\n{line}\n")
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -120,7 +118,7 @@ def test_round_trip():
     text = "\n".join(one_legal_triplet(n) for n in ukg.RELATIONS)
     kg = parse_triplets(text)
     kg2 = parse_triplets(serialize_triplets(kg))
-    assert {t.key() for t in kg.triplets} == {t.key() for t in kg2.triplets}
+    np.testing.assert_array_equal(kg.triplets, kg2.triplets)
     assert kg.populations == kg2.populations
 
 
@@ -141,37 +139,49 @@ def test_split_partition():
 
 def test_split_pois_shared_entities_disjoint():
     text = ("#counts POI=3 Region=2 BusinessArea=1 Brand=2 Cate1=1\n"
-            "POI:2\tLocateAt\tRegion:1\nPOI:2\tBrandOf\tBrand:1\n")
+            "POI:2\tLocateAt\tRegion:1\nPOI:2\tBrandOf\tBrand:1\n"
+            "Brand:1\tBrand2Cate1\tCate1:0\n")
     geo, func = split_subgraphs(parse_triplets(text))
     assert geo.n_pois == func.n_pois == 3
+    geo_head, _, geo_tail = geo.local_edges()
+    func_head, _, func_tail = func.local_edges()
     # geo side: BusinessArea block then Region block
     assert geo.entity_count == 1 + 2
-    assert geo.local_id(EntityRef("Region", 1)) == 3 + 1 + 1
+    assert geo_tail.tolist() == [3 + 1 + 1]              # Region:1
     # func side: Brand, Cate1, Cate2, Cate3 blocks
     assert func.entity_count == 2 + 1
-    assert func.local_id(EntityRef("Cate1", 0)) == 3 + 2
+    assert func_tail.tolist() == [3 + 1, 3 + 2]          # Brand:1, Cate1:0
     # POIs map to the same ids on both sides
-    assert geo.local_id(EntityRef("POI", 2)) == func.local_id(EntityRef("POI", 2)) == 2
+    assert geo_head[0] == func_head[0] == 2              # POI:2
+
+
+def edge_lists(dst, src, rel):
+    """Per-node (relation row, neighbor) lists in aggregation order."""
+    out = {}
+    for d, s, r in zip(dst.tolist(), src.tolist(), rel.tolist()):
+        out.setdefault(d, []).append((r, s))
+    return out
 
 
 def test_adjacency_single_triplet():
     kg = parse_triplets("POI:0\tLocateAt\tRegion:0\n")
     geo, _ = split_subgraphs(kg)
-    adj = build_adjacency(geo)
+    edges = edge_lists(*build_adjacency(geo))
     rid = ukg.RELATIONS["LocateAt"].local_id
-    assert adj.neighbors[0] == [(rid, 1, False)]   # p0 -> region0 (local id 1)
-    assert adj.neighbors[1] == [(rid, 0, True)]    # region0 receives inverse
+    assert edges[0] == [(rid, 1)]   # p0 -> region0 (local id 1)
+    assert edges[1] == [(rid, 0)]   # region0 receives inverse
 
 
 def test_adjacency_star_graph():
     lines = [f"POI:{i}\tLocateAt\tRegion:0" for i in range(10)]
     geo, _ = split_subgraphs(parse_triplets("\n".join(lines)))
-    adj = build_adjacency(geo)
+    edges = edge_lists(*build_adjacency(geo))
     region_node = 10  # after 10 POIs, no business areas
-    entries = adj.neighbors[region_node]
+    entries = edges[region_node]
     assert len(entries) == 10
-    assert all(inv for _, _, inv in entries)
-    assert [nb for _, nb, _ in entries] == list(range(10))  # sorted
+    # every POI sends its forward edge to the region, which receives inverses
+    assert all(edges[i] == [(entries[0][0], region_node)] for i in range(10))
+    assert [nb for _, nb in entries] == list(range(10))  # sorted
 
 
 def test_adjacency_degree_sum_is_twice_triplets():
@@ -185,17 +195,18 @@ def test_adjacency_degree_sum_is_twice_triplets():
     kg = parse_triplets("\n".join(sorted(lines)))
     geo, func = split_subgraphs(kg)
     for sub in (geo, func):
-        adj = build_adjacency(sub)
-        total = sum(len(lst) for lst in adj.neighbors)
-        assert total == 2 * len(sub.triplets)
+        dst, _, _ = build_adjacency(sub)
+        assert len(dst) == 2 * len(sub.triplets)
 
 
 def test_adjacency_lists_sorted():
     lines = ["POI:0\tLocateAt\tRegion:1", "POI:0\tLocateAt\tRegion:0",
              "POI:0\tBelongTo\tBusinessArea:0"]
     geo, _ = split_subgraphs(parse_triplets("\n".join(lines)))
-    adj = build_adjacency(geo)
-    assert adj.neighbors[0] == sorted(adj.neighbors[0])
+    dst, src, rel = build_adjacency(geo)
+    assert dst.tolist() == sorted(dst.tolist())
+    edges = edge_lists(dst, src, rel)
+    assert edges[0] == sorted(edges[0])
 
 
 def test_blended_subgraph_keeps_everything():
@@ -205,20 +216,21 @@ def test_blended_subgraph_keeps_everything():
     assert len(blend.triplets) == 16
     assert blend.entity_count == sum(kg.populations[c] for c in ukg.ENTITY_CLASSES
                                      if c != "POI")
-    ids = sorted(blended_relation_id(n) for n in ukg.RELATIONS)
-    assert ids == list(range(16))
-    adj = build_adjacency(blend)
-    assert sum(len(lst) for lst in adj.neighbors) == 32
+    _, rows, _ = blend.local_edges()
+    assert sorted(rows.tolist()) == list(range(16))
+    dst, _, _ = build_adjacency(blend)
+    assert len(dst) == 32
 
 
-def test_triplet_constructor_validates():
-    with pytest.raises(ukg.ClassMismatch):
-        Triplet(EntityRef("POI", 0), "BaServe", EntityRef("Region", 0))
-    with pytest.raises(ukg.UnknownRelation):
-        Triplet(EntityRef("POI", 0), "Nope", EntityRef("Region", 0))
+def test_urbankg_rejects_out_of_range_relation_id():
+    for rid in (len(ukg.RELATIONS), -1):
+        with pytest.raises(ukg.UnknownRelation):
+            UrbanKG([(rid, 0, 0)])
+    with pytest.raises(ValueError):
+        UrbanKG([(RELATION_IDS["LocateAt"], -1, 0)])
 
 
 def test_urbankg_rejects_duplicates_directly():
-    t = Triplet(EntityRef("POI", 0), "LocateAt", EntityRef("Region", 0))
+    t = (RELATION_IDS["LocateAt"], 0, 0)
     with pytest.raises(ukg.DuplicateTriplet):
         UrbanKG([t, t])
