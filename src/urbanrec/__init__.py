@@ -36,7 +36,6 @@ from .ukg import (  # noqa: F401
 from .interactions import (  # noqa: F401
     InteractionSet,
     DatasetSplit,
-    BprTriple,
     parse_checkins,
     split_dataset,
     sample_bpr_batch,

@@ -293,25 +293,60 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 
 
 def gather(a, idx) -> Tensor:
-    """Select rows ``a[idx]`` for an integer index array."""
+    """Select rows ``a[idx]`` of a 2-D tensor for a 1-D integer index array."""
     a = astensor(a)
     idx = np.asarray(idx, dtype=np.int64)
+    if a.ndim != 2 or idx.ndim != 1:
+        raise ValueError("gather takes a 2-D tensor and a 1-D index array")
 
     def bwd(g):
-        if not a.requires_grad:
-            return
-        if a.data.ndim == 2 and idx.ndim == 1 and g.ndim == 2:
+        if a.requires_grad:
             # scatter-add via one flat bincount; much faster than np.add.at
-            rows, cols = a.data.shape
+            n_rows, cols = a.data.shape
             flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-            ga = np.bincount(flat, weights=np.ascontiguousarray(g).ravel(),
-                             minlength=rows * cols).reshape(rows, cols)
-        else:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-        a._accumulate(ga)
+            a._accumulate(np.bincount(flat, weights=g.ravel(),
+                                      minlength=n_rows * cols).reshape(n_rows, cols))
 
     return _node(a.data[idx], (a,), bwd)
+
+
+def rows(a, start: int, stop: int) -> Tensor:
+    """The contiguous row block ``a[start:stop]``."""
+    a = astensor(a)
+
+    def bwd(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            ga[start:stop] = g
+            a._accumulate(ga)
+
+    return _node(a.data[start:stop], (a,), bwd)
+
+
+def relational_spmm(stacked: sp.csr_matrix, stacked_t: sp.csr_matrix,
+                    x, r) -> Tensor:
+    """Relation-gated aggregation ``sum_k (A_k @ x) * r[k]``.
+
+    ``stacked`` holds the per-relation matrices A_k (n x n each) one above
+    the other, so it has shape (n_rel * n, n); ``stacked_t`` is its
+    transpose in CSR form.  Only the stacked products A_k @ x are kept for
+    the backward pass, never a per-edge array.
+    """
+    x, r = astensor(x), astensor(r)
+    n_rel, n = r.shape[0], x.shape[0]
+    if stacked.shape != (n_rel * n, n):
+        raise ValueError(f"a {n_rel}-row relation table does not fit a stacked "
+                         f"matrix of shape {stacked.shape} over {n} nodes")
+    ax = (stacked @ x.data).reshape(n_rel, n, -1)
+
+    def bwd(g):
+        if x.requires_grad:
+            gated = (g[None, :, :] * r.data[:, None, :]).reshape(n_rel * n, -1)
+            x._accumulate(stacked_t @ gated)
+        if r.requires_grad:
+            r._accumulate(np.einsum("rnd,nd->rd", ax, g))
+
+    return _node(np.einsum("rnd,rd->nd", ax, r.data), (x, r), bwd)
 
 
 def spmm(mat: sp.spmatrix, x, mat_t: sp.spmatrix | None = None) -> Tensor:

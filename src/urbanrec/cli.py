@@ -6,7 +6,10 @@ comments allowed) using the same names as the long flags.  Each command
 writes a ``<name>.config`` echo of its fully resolved options next to its
 artifacts, so any result can be traced to the exact run that produced it;
 filesystem paths stay out of the echo, which keeps re-runs of one config
-byte-identical wherever they land.  Failures print a single
+byte-identical wherever they land.  ``eval`` takes its split seed and ratios
+from the ``train.config`` (or ``ablate.config``) echo beside the checkpoint,
+so it scores the pairs that training held out.  ``train`` and ``ablate``
+report one progress line per epoch on stderr.  Failures print a single
 ``error <Type>: <message>`` line to stderr and exit nonzero.
 """
 
@@ -33,6 +36,10 @@ from .ukg import parse_triplets, serialize_triplets, split_subgraphs
 
 
 class UsageError(ValueError):
+    pass
+
+
+class SplitMismatch(ValueError):
     pass
 
 
@@ -94,6 +101,8 @@ EVAL_KEYS = [
     ("test_ratio", "float", 0.1),
 ]
 
+SPLIT_RATIOS = ("train_ratio", "val_ratio", "test_ratio")
+
 ABLATE_KEYS = TRAIN_KEYS + [("eval_seed", "int", 0),
                             ("functional_fraction", "float", 0.05)]
 
@@ -121,15 +130,20 @@ def _read_config_file(path: str, keys) -> dict:
     return out
 
 
-def _resolve(args, keys) -> dict:
-    values = {name: default for name, _, default in keys}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config, keys))
+def _explicit(args, keys) -> dict:
+    """Options set by the config file or by flags, flags winning."""
+    values = _read_config_file(args.config, keys) \
+        if getattr(args, "config", None) else {}
     for name, typ, _ in keys:
         raw = getattr(args, name, None)
         if raw is not None:
             values[name] = _parse_value(typ, raw)
     return values
+
+
+def _resolve(args, keys) -> dict:
+    return {**{name: default for name, _, default in keys},
+            **_explicit(args, keys)}
 
 
 def _config_echo(keys, values) -> str:
@@ -190,7 +204,7 @@ def cmd_gen(args) -> int:
 
 def _train_setup(data_dir: str, values: dict):
     kg, iset = _load_data(data_dir)
-    ratios = (values["train_ratio"], values["val_ratio"], values["test_ratio"])
+    ratios = tuple(values[key] for key in SPLIT_RATIOS)
     split = split_dataset(iset, ratios, values["seed"])
     bundle = build_graphs(kg, split, blended=values["blended"])
     dims = dims_for(kg, split, d=values["d"], n_intents=values["n_intents"],
@@ -215,8 +229,17 @@ def _graph_record(kg, blended: bool) -> dict:
             "total_triplets": len(kg.triplets)}
 
 
-def _run_training(kg, split, bundle, dims, hp, seed, log_path, ckpt_path):
-    params, log = fit(split, bundle, dims, hp, seed)
+def _progress_line(label: str):
+    def show(record: dict) -> None:
+        print(f"{label} epoch={record['epoch']} total={record['total']:.4f} "
+              f"val_recall20={record['val_recall20']:.4f}", file=sys.stderr)
+    return show
+
+
+def _run_training(kg, split, bundle, dims, hp, seed, log_path, ckpt_path,
+                  label):
+    params, log = fit(split, bundle, dims, hp, seed,
+                      progress_fn=_progress_line(label))
     records = [_graph_record(kg, bundle.blended)] + log
     lines = [json.dumps(r, sort_keys=True) for r in records]
     Path(log_path).write_text("\n".join(lines) + "\n")
@@ -230,7 +253,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, log = _run_training(kg, split, bundle, dims, hp, values["seed"],
-                           out / "train_log.jsonl", out / "checkpoint.bin")
+                           out / "train_log.jsonl", out / "checkpoint.bin",
+                           "train")
     (out / "train.config").write_text(_config_echo(TRAIN_KEYS, values))
     best = max((r["val_recall20"] for r in log), default=float("nan"))
     print(f"train out={args.out} epochs={len(log)} best_val_recall20={best!r}")
@@ -246,15 +270,37 @@ def _checked_forward(kg, split, params, dims):
     return forward(params, bundle)
 
 
+def _bind_split(values: dict, explicit: dict, checkpoint: str) -> None:
+    """Evaluate on the split that the train or ablate config echo beside the
+    checkpoint records; an explicitly given split that disagrees fails."""
+    for name, keys in (("train.config", TRAIN_KEYS),
+                       ("ablate.config", ABLATE_KEYS)):
+        path = Path(checkpoint).parent / name
+        if path.exists():
+            break
+    else:
+        return
+    trained = {key: default for key, _, default in keys}
+    trained.update(_read_config_file(str(path), keys))
+    trained["split_seed"] = trained["seed"]
+    for key in ("split_seed",) + SPLIT_RATIOS:
+        if key in explicit and explicit[key] != trained[key]:
+            raise SplitMismatch(
+                f"{key}={explicit[key]!r} but the checkpoint was trained on "
+                f"{key}={trained[key]!r} ({name} beside it)")
+        values[key] = trained[key]
+
+
 def cmd_eval(args) -> int:
     values = _resolve(args, EVAL_KEYS)
+    _bind_split(values, _explicit(args, EVAL_KEYS), args.checkpoint)
     if values["scorer"] not in SCORERS:
         raise UsageError(f"scorer must be one of {SCORERS}, got "
                          f"{values['scorer']!r}")
     if values["target"] not in ("test", "val"):
         raise UsageError(f"target must be test or val, got {values['target']!r}")
     kg, iset = _load_data(args.data)
-    ratios = (values["train_ratio"], values["val_ratio"], values["test_ratio"])
+    ratios = tuple(values[key] for key in SPLIT_RATIOS)
     split = split_dataset(iset, ratios, values["split_seed"])
     params = load_checkpoint(args.checkpoint)
     finals = _checked_forward(kg, split, params, params.dims)
@@ -314,7 +360,7 @@ def cmd_ablate(args) -> int:
     kg, split, bundle, dims, hp = _train_setup(args.data, values)
     params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
                               out / "train_log_full.jsonl",
-                              out / "full_checkpoint.bin")
+                              out / "full_checkpoint.bin", "full")
     finals = forward(params, bundle)
     rows = [
         _ablation_row("full", "tie", finals, split, gt, eval_seed, fraction),
@@ -328,7 +374,8 @@ def cmd_ablate(args) -> int:
     kg, split, bundle, dims, hp = _train_setup(args.data, blended_values)
     params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
                               out / "train_log_no_disentangle.jsonl",
-                              out / "no_disentangle_checkpoint.bin")
+                              out / "no_disentangle_checkpoint.bin",
+                              "no_disentangle")
     finals = forward(params, bundle)
     rows.append(_ablation_row("no_disentangle", "tie", finals, split, gt,
                               eval_seed, fraction))

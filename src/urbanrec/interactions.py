@@ -97,13 +97,6 @@ class DatasetSplit:
         return self.train.n_pois
 
 
-@dataclass(frozen=True)
-class BprTriple:
-    user: int
-    pos: int
-    neg: int
-
-
 def parse_checkins(text: str) -> InteractionSet:
     """Parse "user<TAB>poi" lines; ids dense, counts inferred as max id + 1."""
     pairs: set[tuple[int, int]] = set()
@@ -178,8 +171,9 @@ def split_dataset(iset: InteractionSet, ratios: tuple[float, float, float],
 
 
 def sample_bpr_batch(split: DatasetSplit, batch_size: int,
-                     rng: np.random.Generator) -> list[BprTriple]:
-    """Draw BPR triples: uniform train positives, rejection-sampled negatives.
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw BPR triples as (batch_size, 3) rows of (user, positive, negative):
+    uniform train positives, rejection-sampled negatives.
 
     Negatives are rejected against the user's FULL positive set (train, val
     and test) so evaluation targets are never trained on as negatives.
@@ -190,24 +184,24 @@ def sample_bpr_batch(split: DatasetSplit, batch_size: int,
     if n_train == 0:
         raise EmptyDataset("no training pairs to sample from")
     n_pois = split.n_pois
-    out: list[BprTriple] = []
     idx = rng.integers(0, n_train, size=batch_size)
-    for i in idx:
-        u = int(split._train_users[i])
-        pos = int(split._train_pois[i])
+    out = np.empty((batch_size, 3), dtype=np.int64)
+    out[:, 0] = split._train_users[idx]
+    out[:, 1] = split._train_pois[idx]
+    negs = []
+    for u in out[:, 0].tolist():
         positives = split.full_by_user[u]
         if len(positives) >= n_pois:
             raise SaturatedUser(f"user {u} interacted with every poi")
         neg = int(rng.integers(0, n_pois))
         while neg in positives:
             neg = int(rng.integers(0, n_pois))
-        out.append(BprTriple(u, pos, neg))
+        negs.append(neg)
+    out[:, 2] = negs
     return out
 
 
-def batch_arrays(batch: list[BprTriple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_arrays(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column views (users, positives, negatives) for vectorized scoring."""
-    users = np.array([b.user for b in batch], dtype=np.int64)
-    pos = np.array([b.pos for b in batch], dtype=np.int64)
-    neg = np.array([b.neg for b in batch], dtype=np.int64)
+    users, pos, neg = batch.T
     return users, pos, neg

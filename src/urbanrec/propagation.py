@@ -24,37 +24,37 @@ from .ukg import SubGraph, UrbanKG, blended_subgraph, build_adjacency, \
 
 @dataclass
 class PropagationGraph:
-    """Edge arrays plus the mean-aggregation matrix for one subgraph.
+    """Per-relation mean-aggregation matrices for one subgraph.
 
     Every stored triplet appears twice (forward and inverse) so messages
     reach tails as well as heads; both directions share the relation
-    embedding.  ``agg`` is (n_nodes x n_edges) with entry 1/deg(dst) at
-    (dst, edge), so agg @ messages is the neighborhood mean with empty
-    neighborhoods contributing zero.
+    embedding.  ``stacked`` is (n_relations * n_nodes x n_nodes) with entry
+    1/deg(dst) at (rel * n_nodes + dst, src), duplicate edges summed: block
+    ``rel`` is the mean aggregation restricted to that relation, so the
+    blocks gated by their relation rows add up to the neighborhood mean of
+    the messages, with empty neighborhoods contributing zero.  ``src`` keeps
+    one entry per directed edge.
     """
 
     n_nodes: int
     n_pois: int
     src: np.ndarray
-    rel: np.ndarray
-    agg: sp.csr_matrix
-    agg_t: sp.csr_matrix
+    stacked: sp.csr_matrix
+    stacked_t: sp.csr_matrix
 
     @classmethod
     def from_subgraph(cls, sub: SubGraph) -> "PropagationGraph":
         dst, src, rel = build_adjacency(sub)
         n_nodes = sub.n_pois + sub.entity_count
         deg = np.bincount(dst, minlength=n_nodes)
-        agg = sp.csr_matrix((1.0 / deg[dst], (dst, np.arange(len(dst)))),
-                            shape=(n_nodes, len(dst)))
-        return cls(n_nodes, sub.n_pois, src, rel, agg, agg.T.tocsr())
+        stacked = sp.csr_matrix((1.0 / deg[dst], (rel * n_nodes + dst, src)),
+                                shape=(sub.n_relations * n_nodes, n_nodes))
+        return cls(n_nodes, sub.n_pois, src, stacked, stacked.T.tocsr())
 
     def layer(self, X: ad.Tensor, R: ad.Tensor) -> ad.Tensor:
-        """One residual update of all POI/entity rows."""
-        if len(self.src) == 0:
-            return X
-        msgs = ad.gather(R, self.rel) * ad.gather(X, self.src)
-        return X + ad.spmm(self.agg, msgs, self.agg_t)
+        """One residual update of all POI/entity rows; ``R`` is this side's
+        relation table (ValueError for another size)."""
+        return X + ad.relational_spmm(self.stacked, self.stacked_t, X, R)
 
 
 def _user_aggregation(split: DatasetSplit) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -140,22 +140,21 @@ def _propagate_side(E: ad.Tensor, S: ad.Tensor, R: ad.Tensor,
                     n_layers: int, trace: list | None):
     n_users = bundle.n_users
     n_pois = bundle.n_pois
-    U = ad.gather(E, np.arange(n_users))
-    X = ad.gather(E, np.arange(n_users, E.shape[0]))
+    U = ad.rows(E, 0, n_users)
+    X = ad.rows(E, n_users, E.shape[0])
     intents = intent_embeddings(S, R)
     beta = user_intent_attention(U, intents)  # fixed at layer 0, reused below
     gate = (beta @ intents.embeddings) * (1.0 / intents.n_intents)
-    poi_ids = np.arange(n_pois)
     if trace is not None:
         trace.append((U.data.copy(), X.data.copy()))
     for _ in range(n_layers):
-        P_prev = ad.gather(X, poi_ids)
+        P_prev = ad.rows(X, 0, n_pois)
         X_next = graph.layer(X, R)
         U_next = U + ad.spmm(bundle.user_agg, P_prev, bundle.user_agg_t) * gate
         U, X = U_next, X_next
         if trace is not None:
             trace.append((U.data.copy(), X.data.copy()))
-    return U, ad.gather(X, poi_ids), intents
+    return U, ad.rows(X, 0, n_pois), intents
 
 
 def forward(params: ModelParams, bundle: GraphBundle,

@@ -106,8 +106,7 @@ def independence_loss(intents: IntentSet) -> ad.Tensor:
     d = intents.embeddings.shape[1]
     if n < 2:
         return ad.Tensor(0.0)
-    rows = [ad.gather(intents.embeddings, np.array([i])).reshape(d)
-            for i in range(n)]
+    rows = [ad.rows(intents.embeddings, i, i + 1).reshape(d) for i in range(n)]
     total = None
     for i in range(n):
         for j in range(i + 1, n):

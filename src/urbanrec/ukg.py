@@ -171,6 +171,12 @@ class SubGraph:
     class_offsets: dict[str, int]
     entity_count: int
 
+    @property
+    def n_relations(self) -> int:
+        """Rows of this side's relation table: 5, 11, or 16 when blended."""
+        return {GEO: N_GEO_RELATIONS, FUNC: N_FUNC_RELATIONS}.get(
+            self.kind, len(RELATIONS))
+
     def local_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(head node, relation row, tail node) of every triplet, with nodes
         in the propagation id space (POIs first, then the class blocks) and

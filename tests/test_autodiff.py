@@ -118,6 +118,75 @@ def test_spmm_with_cached_transpose():
     check(lambda t: (ad.spmm(mat, t, mat_t) * w).sum(), RNG.normal(size=(6, 2)))
 
 
+def test_rows_slices_accumulate():
+    # two overlapping slices of one tensor both feed the loss
+    w1 = RNG.normal(size=(2, 3))
+    w2 = RNG.normal(size=(3, 3))
+    check(lambda t: (ad.rows(t, 0, 2) * w1).sum() + (ad.rows(t, 1, 4) * w2).sum(),
+          RNG.normal(size=(5, 3)))
+
+
+def stacked_from_edges(dst, src, rel, n_rel, n):
+    """Per-relation mean aggregation blocks stacked row-wise, and transpose."""
+    deg = np.bincount(dst, minlength=n)
+    mat = sp.csr_matrix((1.0 / deg[dst], (rel * n + dst, src)),
+                        shape=(n_rel * n, n))
+    return mat, mat.T.tocsr()
+
+
+def edge_messages_mean(dst, src, rel, x, r):
+    """Reference: mean over each node's in-edges of r[rel] * x[src]."""
+    out = np.zeros_like(x)
+    deg = np.bincount(dst, minlength=len(x))
+    for d, s, k in zip(dst, src, rel):
+        out[d] += r[k] * x[s] / deg[d]
+    return out
+
+
+def check_relational(dst, src, rel, n_rel, n, d=3):
+    dst, src, rel = (np.asarray(a) for a in (dst, src, rel))
+    mat, mat_t = stacked_from_edges(dst, src, rel, n_rel, n)
+    x0, r0 = RNG.normal(size=(n, d)), RNG.normal(size=(n_rel, d))
+    w = RNG.normal(size=(n, d))
+    out = ad.relational_spmm(mat, mat_t, x0, r0).data
+    np.testing.assert_allclose(out, edge_messages_mean(dst, src, rel, x0, r0),
+                               rtol=1e-12, atol=1e-14)
+    # both operands on one tape, each against finite differences
+    x, r = ad.Tensor(x0, requires_grad=True), ad.Tensor(r0, requires_grad=True)
+    (ad.relational_spmm(mat, mat_t, x, r) * w).sum().backward()
+    loss = lambda xv, rv: float((ad.relational_spmm(mat, mat_t, xv, rv).data
+                                 * w).sum())
+    np.testing.assert_allclose(x.grad, fd_grad(lambda v: loss(v, r0), x0.copy()),
+                               rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(r.grad, fd_grad(lambda v: loss(x0, v), r0.copy()),
+                               rtol=1e-6, atol=1e-8)
+
+
+def test_relational_spmm_duplicate_edge_empty_relation_isolated_node():
+    # (dst 0, rel 1, src 2) appears twice and counts twice in the mean;
+    # relation 2 has no edge; node 4 receives nothing
+    dst = [0, 0, 0, 1, 1, 2, 3, 3]
+    src = [2, 2, 1, 0, 3, 4, 0, 4]
+    rel = [1, 1, 0, 3, 0, 1, 3, 0]
+    check_relational(dst, src, rel, n_rel=4, n=5)
+
+
+def test_relational_spmm_sixteen_relation_table():
+    rng = np.random.default_rng(4)
+    n, n_edges = 9, 40
+    dst = rng.integers(0, n - 1, size=n_edges)  # node n-1 gets no in-edge
+    src = rng.integers(0, n, size=n_edges)
+    rel = rng.choice([k for k in range(16) if k != 7], size=n_edges)
+    check_relational(dst, src, rel, n_rel=16, n=n, d=2)
+
+
+def test_relational_spmm_rejects_mismatched_table():
+    mat, mat_t = stacked_from_edges(np.array([0]), np.array([1]), np.array([0]),
+                                    n_rel=5, n=2)
+    with pytest.raises(ValueError):
+        ad.relational_spmm(mat, mat_t, np.ones((2, 3)), np.ones((11, 3)))
+
+
 def test_softmax_grad():
     w = RNG.normal(size=(3, 5))
     check(lambda t: (ad.softmax(t, axis=-1) * w).sum(), RNG.normal(size=(3, 5)))

@@ -184,6 +184,7 @@ def test_eval_dims_mismatch_names_both(tmp_path, capsys):
 def test_eval_rejects_unknown_scorer(tmp_path, capsys):
     gen_city(tmp_path / "city")
     train(tmp_path / "city", tmp_path / "run")
+    capsys.readouterr()  # train's progress lines
     assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
                str(tmp_path / "run" / "checkpoint.bin"),
                "--scorer", "magic") == 1
@@ -280,3 +281,66 @@ def test_usage_error_is_single_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error UsageError:")
     assert "\n" not in err.strip()
+
+
+def test_eval_binds_to_trained_split(tmp_path, capsys):
+    # a checkpoint trained on the seed-1 split and scored on the default
+    # seed-0 split would count training pairs as test pairs
+    gen_city(tmp_path / "city")
+    train(tmp_path / "city", tmp_path / "run", "--seed", "1")
+    ckpt = str(tmp_path / "run" / "checkpoint.bin")
+    capsys.readouterr()
+    assert run("eval", "--data", str(tmp_path / "city"),
+               "--checkpoint", ckpt) == 0
+    capsys.readouterr()
+    echo = (tmp_path / "run" / "metrics_tie_test.json.config").read_text()
+    assert "split_seed=1\n" in echo
+    for flag, value in (("--split-seed", "0"), ("--test-ratio", "0.2")):
+        assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
+                   ckpt, flag, value, "--out", str(tmp_path / "m.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error SplitMismatch:")
+        assert "\n" not in err.strip()
+    assert not (tmp_path / "m.json").exists()
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("split_seed=0\n")
+    assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
+               ckpt, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err.startswith("error SplitMismatch:")
+    # the trained split given explicitly is accepted
+    assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
+               ckpt, "--split-seed", "1", "--train-ratio", "0.8") == 0
+
+
+def test_eval_binds_to_ablate_split(tmp_path, capsys):
+    gen_city(tmp_path / "city")
+    assert run("ablate", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS[:-1], "2") == 0
+    capsys.readouterr()
+    assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
+               str(tmp_path / "abl" / "full_checkpoint.bin"),
+               "--split-seed", "0") == 1
+    assert capsys.readouterr().err.startswith("error SplitMismatch:")
+
+
+def test_train_and_ablate_report_progress_on_stderr(tmp_path, capsys):
+    gen_city(tmp_path / "city")
+    capsys.readouterr()
+    train(tmp_path / "city", tmp_path / "run")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("train out=")
+    assert len(captured.out.splitlines()) == 1
+    lines = captured.err.splitlines()
+    assert [ln.split()[:2] for ln in lines] == [["train", "epoch=1"],
+                                                ["train", "epoch=2"]]
+    log = [json.loads(ln) for ln in
+           (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()[1:]]
+    for line, rec in zip(lines, log):
+        assert f"total={rec['total']:.4f}" in line
+        assert f"val_recall20={rec['val_recall20']:.4f}" in line
+    assert run("ablate", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS) == 0
+    captured = capsys.readouterr()
+    assert [ln.split()[0] for ln in captured.err.splitlines()] \
+        == ["full", "full", "no_disentangle", "no_disentangle"]
+    assert len(captured.out.splitlines()) == 3

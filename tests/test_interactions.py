@@ -111,8 +111,9 @@ def test_bpr_forced_negative():
     split = ia.split_dataset(make_set(pairs, 1, 2), (0.8, 0.1, 0.1), seed=0)
     rng = np.random.default_rng(0)
     batch = ia.sample_bpr_batch(split, 32, rng)
-    assert all(t.neg == 1 for t in batch)
-    assert all(t.pos == 0 and t.user == 0 for t in batch)
+    assert batch.shape == (32, 3) and batch.dtype == np.int64
+    assert all(neg == 1 for _, _, neg in batch.tolist())
+    assert all(pos == 0 and user == 0 for user, pos, _ in batch.tolist())
 
 
 def test_bpr_saturated_user():
@@ -129,9 +130,9 @@ def test_bpr_negative_never_in_full_positives():
     split = ia.split_dataset(iset, (0.8, 0.1, 0.1), seed=0)
     rng = np.random.default_rng(5)
     batch = ia.sample_bpr_batch(split, 500, rng)
-    for t in batch:
-        assert t.neg in (10, 11)
-        assert (t.user, t.pos) in split.train.pairs
+    for user, pos, neg in batch.tolist():
+        assert neg in (10, 11)
+        assert (user, pos) in split.train.pairs
 
 
 def test_bpr_negative_frequencies_uniform():
@@ -142,8 +143,8 @@ def test_bpr_negative_frequencies_uniform():
     rng = np.random.default_rng(123)
     counts = np.zeros(100, dtype=np.int64)
     for chunk in range(10):
-        for t in ia.sample_bpr_batch(split, 10_000, rng):
-            counts[t.neg] += 1
+        for neg in ia.sample_bpr_batch(split, 10_000, rng)[:, 2]:
+            counts[neg] += 1
     assert counts[:50].sum() == 0
     freqs = counts[50:] / 100_000.0
     assert np.all(np.abs(freqs - 0.02) < 0.005)
@@ -154,10 +155,10 @@ def test_bpr_reproducible():
     split = ia.split_dataset(make_set(pairs, 4, 9), (0.8, 0.1, 0.1), seed=0)
     b1 = ia.sample_bpr_batch(split, 64, np.random.default_rng(9))
     b2 = ia.sample_bpr_batch(split, 64, np.random.default_rng(9))
-    assert b1 == b2
+    np.testing.assert_array_equal(b1, b2)
 
 
 def test_batch_arrays():
-    batch = [ia.BprTriple(0, 1, 2), ia.BprTriple(3, 4, 5)]
+    batch = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int64)
     u, p, n = ia.batch_arrays(batch)
     assert u.tolist() == [0, 3] and p.tolist() == [1, 4] and n.tolist() == [2, 5]

@@ -235,3 +235,44 @@ def test_gradients_flow_through_propagation():
         assert np.all(np.isfinite(g)), name
     # S gets gradient through beta and intent embeddings
     assert np.abs(params.S_g.grad).max() > 0.0
+
+
+def test_layer_takes_the_side_relation_table():
+    kg, split, dims, params, bundle = random_setup(14)
+    blend = pg.build_graphs(kg, split, blended=True)
+    for graph, n_rel in ((bundle.geo, 5), (bundle.func, 11), (blend.geo, 16)):
+        assert graph.stacked.shape == (n_rel * graph.n_nodes, graph.n_nodes)
+    X = ad.Tensor(params.E_g.data[split.n_users:])
+    with pytest.raises(ValueError):
+        bundle.geo.layer(X, params.R_f)
+    with pytest.raises(ValueError):
+        bundle.geo.layer(X, ad.Tensor(np.ones((16, dims.d))))
+
+
+def test_training_tape_holds_no_per_edge_array():
+    from urbanrec import training as tr
+    from urbanrec.interactions import batch_arrays, sample_bpr_batch, \
+        split_dataset
+    from urbanrec.synthgen import CityConfig, generate_city
+
+    kg, iset, _ = generate_city(CityConfig(seed=0))
+    split = split_dataset(iset, (0.8, 0.1, 0.1), seed=0)
+    bundle = pg.build_graphs(kg, split)
+    dims = pg.dims_for(kg, split)
+    params = md.init_params(dims, seed=0)
+    batch = sample_bpr_batch(split, 1024, np.random.default_rng(0))
+    _, breakdown = tr.backward(params, bundle, *batch_arrays(batch),
+                               tr.HyperParams())
+    edge_counts = {len(bundle.geo.src), len(bundle.func.src)}
+    assert min(edge_counts) > 1024  # no batch array can collide
+    seen, stack, rows_on_tape = set(), [breakdown.total], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.ndim:
+            rows_on_tape.add(node.shape[0])
+        stack.extend(node._parents)
+    assert len(seen) > 100
+    assert not rows_on_tape & edge_counts
