@@ -315,7 +315,7 @@ def test_eval_binds_to_trained_split(tmp_path, capsys):
 def test_eval_binds_to_ablate_split(tmp_path, capsys):
     gen_city(tmp_path / "city")
     assert run("ablate", "--data", str(tmp_path / "city"),
-               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS[:-1], "2") == 0
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS, "--seed", "2") == 0
     capsys.readouterr()
     assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
                str(tmp_path / "abl" / "full_checkpoint.bin"),

@@ -7,8 +7,11 @@ import oracles
 from urbanrec import autodiff as ad
 from urbanrec import model as md
 from urbanrec import propagation as pg
+from urbanrec import training as tr
 from urbanrec import ukg
-from urbanrec.interactions import DatasetSplit, InteractionSet
+from urbanrec.interactions import DatasetSplit, InteractionSet, batch_arrays, \
+    sample_bpr_batch, split_dataset
+from urbanrec.synthgen import CityConfig, generate_city
 from urbanrec.ukg import RELATION_IDS, UrbanKG
 
 LOCATE_AT = RELATION_IDS["LocateAt"]
@@ -250,11 +253,6 @@ def test_layer_takes_the_side_relation_table():
 
 
 def test_training_tape_holds_no_per_edge_array():
-    from urbanrec import training as tr
-    from urbanrec.interactions import batch_arrays, sample_bpr_batch, \
-        split_dataset
-    from urbanrec.synthgen import CityConfig, generate_city
-
     kg, iset, _ = generate_city(CityConfig(seed=0))
     split = split_dataset(iset, (0.8, 0.1, 0.1), seed=0)
     bundle = pg.build_graphs(kg, split)
