@@ -19,8 +19,7 @@ for one user.  Expect about a minute.
 
 import numpy as np
 
-from urbanrec.counterfactual import (bundle_scores, score_candidates,
-                                     user_reference)
+from urbanrec.counterfactual import bundle_scores, score_candidates
 from urbanrec.evaluation import rank_candidates
 from urbanrec.interactions import split_dataset
 from urbanrec.propagation import build_graphs, dims_for, forward
@@ -45,7 +44,7 @@ finals = forward(params, bundle)
 # it sits clearly below zero for nearly everyone, and the closed form holds
 # to machine precision.
 
-refs = np.array([user_reference(finals, u) for u in range(split.n_users)])
+refs = finals.u.data @ finals.p_mean
 print(f"reference scores: mean {refs.mean():+.3f}, "
       f"{(refs < 0).mean():.0%} of users negative")
 

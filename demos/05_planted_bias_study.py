@@ -12,7 +12,6 @@ seed so the pieces are visible.  Expect a couple of minutes.
 
 import numpy as np
 
-from urbanrec.counterfactual import user_reference
 from urbanrec.evaluation import evaluate, rank_candidates
 from urbanrec.interactions import split_dataset
 from urbanrec.propagation import build_graphs, dims_for, forward
@@ -57,7 +56,7 @@ print(f"functional ndcg@20, factual ranking:  {scores['te']:.4f}")
 # match score before the geography gate multiplies in - removing the
 # far-away anti-match junk the factual product promotes.
 
-refs = np.array([user_reference(finals, u) for u in range(split.n_users)])
+refs = finals.u.data @ finals.p_mean
 print(f"\nreference scores: mean {refs.mean():+.3f}, "
       f"{(refs < 0).mean():.0%} of users negative")
 

@@ -14,9 +14,11 @@ The total-effect variant keeps the factual fusion and subtracts the fully
 averaged world, whose gate tanh(0) kills the term, so te == y_fused and TE
 ranking equals factual-fusion ranking.
 
-All functions here are plain numpy over final embeddings; they accept
-scalars or aligned arrays and are used at inference time only (training
-scores candidates through the autodiff path).
+One user is scored against the whole catalog with two matrix-vector
+products, P @ u and P_g @ u_g, and the reference score reads the catalog
+mean that FinalEmbeddings.p_mean computes once.  fuse and bundle_scores
+accept scalars or aligned arrays.  All of this is plain numpy used at
+inference time only (training scores candidates through the autodiff path).
 """
 
 from __future__ import annotations
@@ -47,19 +49,6 @@ class ScoreBundle:
     nde: np.ndarray      # the geographical-only share removed by tie
 
 
-def score_match(u: np.ndarray, p: np.ndarray) -> float:
-    return float(np.dot(u, p))
-
-
-def score_geo(u_g: np.ndarray, p_g: np.ndarray) -> float:
-    return float(np.dot(u_g, p_g))
-
-
-def reference_score(u: np.ndarray, all_pois: np.ndarray) -> float:
-    """Average match over the whole catalog: u . mean(p)."""
-    return float(np.dot(u, all_pois.mean(axis=0)))
-
-
 def fuse(y_up, y_ug):
     return y_up * np.tanh(y_ug)
 
@@ -76,39 +65,22 @@ def bundle_scores(y_up, y_ug, y_up_ref) -> ScoreBundle:
     )
 
 
-def tie_score(u_index: int, p_index: int, finals: FinalEmbeddings,
-              y_up_ref: float) -> ScoreBundle:
-    """Debiased score of one pair; the bundle carries all components."""
-    u = finals.u.data[u_index]
-    p = finals.p.data[p_index]
-    y_up = score_match(u, p)
-    y_ug = score_geo(finals.u_g.data[u_index], finals.p_g.data[p_index])
-    return bundle_scores(y_up, y_ug, y_up_ref)
-
-
-def te_score(u_index: int, p_index: int, finals: FinalEmbeddings) -> float:
-    """Total effect: the factual fused score (the reference world gates to 0)."""
-    y_up = score_match(finals.u.data[u_index], finals.p.data[p_index])
-    y_ug = score_geo(finals.u_g.data[u_index], finals.p_g.data[p_index])
-    return float(fuse(y_up, y_ug))
-
-
-def user_reference(finals: FinalEmbeddings, u_index: int) -> float:
-    return reference_score(finals.u.data[u_index], finals.p.data)
+def score_catalog(finals: FinalEmbeddings, u_index: int,
+                  scorer: str) -> np.ndarray:
+    """One user's scores of every POI, in POI id order, under a scorer."""
+    if scorer not in SCORERS:
+        raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
+    y_up = finals.p.data @ finals.u.data[u_index]
+    if scorer == "y_up":
+        return y_up
+    gate = np.tanh(finals.p_g.data @ finals.u_g.data[u_index])
+    if scorer == "te":
+        return y_up * gate
+    y_up_ref = float(finals.u.data[u_index] @ finals.p_mean)
+    return y_up * gate - y_up_ref * gate
 
 
 def score_candidates(finals: FinalEmbeddings, u_index: int,
                      candidates: np.ndarray, scorer: str) -> np.ndarray:
-    """Vectorized scores of one user's candidate POIs under a scorer."""
-    if scorer not in SCORERS:
-        raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
-    u = finals.u.data[u_index]
-    y_up = finals.p.data[candidates] @ u
-    if scorer == "y_up":
-        return y_up
-    u_g = finals.u_g.data[u_index]
-    y_ug = finals.p_g.data[candidates] @ u_g
-    if scorer == "te":
-        return fuse(y_up, y_ug)
-    y_up_ref = user_reference(finals, u_index)
-    return fuse(y_up, y_ug) - fuse(y_up_ref, y_ug)
+    """Scores of one user's candidate POIs under a scorer."""
+    return score_catalog(finals, u_index, scorer)[candidates]

@@ -2,7 +2,9 @@
 
 Every user with test targets ranks the whole catalog minus their already
 known positives (train and validation); ties break toward the smaller POI
-id so runs are reproducible.  AUC draws one uniform negative per positive,
+id so runs are reproducible.  evaluate holds one catalog row of scores at a
+time and finds each target's rank by counting, so its memory does not grow
+with the number of users.  AUC draws one uniform negative per positive,
 rejected against the user's full positive set, from a seed-tagged stream.
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counterfactual import score_candidates
+from .counterfactual import score_candidates, score_catalog
 from .interactions import DatasetSplit, SaturatedUser
 from .propagation import FinalEmbeddings
 
@@ -29,36 +31,50 @@ class EmptyTestSet(ValueError):
 def rank_candidates(user: int, finals: FinalEmbeddings, scorer: str,
                     exclude: np.ndarray) -> np.ndarray:
     """All POIs minus ``exclude``, best score first, ties by ascending id."""
-    n_pois = finals.p.data.shape[0]
-    candidates = np.setdiff1d(np.arange(n_pois), exclude)  # sorted unique
-    scores = score_candidates(finals, user, candidates, scorer)
-    order = np.lexsort((candidates, -scores))
+    keep = np.ones(finals.p.data.shape[0], dtype=bool)
+    keep[np.asarray(exclude, dtype=np.int64)] = False
+    candidates = np.flatnonzero(keep)
+    neg = -score_candidates(finals, user, candidates, scorer)
+    order = np.argsort(neg)
+    if not (np.diff(neg[order]) > 0).all():
+        # equal scores (or NaN): a stable sort over the ascending ids puts
+        # the smaller id first; the unstable one above is several times faster
+        order = np.argsort(neg, kind="stable")
     return candidates[order]
 
 
-def recall_at_k(ranked: np.ndarray, positives, k: int) -> float:
+def _recall_ndcg(ranks: np.ndarray, count: int, k: int) -> tuple:
+    """Recall@k and binary NDCG@k from the sorted 1-based ranks of a user's
+    positives (those past k may be left out) and how many positives there are.
+
+    The ideal DCG spans the full positive set rather than stopping at k, so
+    NDCG@K is monotone non-decreasing in K, matching Recall@K.  Both DCG sums
+    add left to right, rank by rank.
+    """
+    within = ranks[ranks <= k]
+    dcg = np.cumsum(1.0 / np.log2(within + 1))[-1] if len(within) else 0.0
+    idcg = np.cumsum(1.0 / np.log2(np.arange(2, count + 2)))[-1]
+    return len(within) / count, dcg / idcg
+
+
+def _hit_ranks(ranked: np.ndarray, positives, k: int) -> tuple:
+    """1-based ranks of the positives among ``ranked[:k]``, and their count."""
     pos = set(int(p) for p in positives)
     if not pos:
         raise EmptyTestSet("no test positives for this user")
-    hits = sum(1 for p in ranked[:k] if int(p) in pos)
-    return hits / len(pos)
+    top = np.asarray(ranked[:k], dtype=np.int64).tolist()
+    ranks = np.array([r for r, p in enumerate(top, start=1) if p in pos],
+                     dtype=np.int64)
+    return ranks, len(pos)
+
+
+def recall_at_k(ranked: np.ndarray, positives, k: int) -> float:
+    return _recall_ndcg(*_hit_ranks(ranked, positives, k), k)[0]
 
 
 def ndcg_at_k(ranked: np.ndarray, positives, k: int) -> float:
-    """Binary NDCG with the ideal DCG taken over the full positive set.
-
-    Normalizing by the full ideal (rather than truncating it at K) keeps
-    NDCG@K monotone non-decreasing in K, matching Recall@K.
-    """
-    pos = set(int(p) for p in positives)
-    if not pos:
-        raise EmptyTestSet("no test positives for this user")
-    dcg = 0.0
-    for rank, p in enumerate(ranked[:k], start=1):
-        if int(p) in pos:
-            dcg += 1.0 / np.log2(rank + 1)
-    idcg = sum(1.0 / np.log2(r + 1) for r in range(1, len(pos) + 1))
-    return float(dcg / idcg)
+    """Binary NDCG with the ideal DCG taken over the full positive set."""
+    return float(_recall_ndcg(*_hit_ranks(ranked, positives, k), k)[1])
 
 
 def pair_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
@@ -143,43 +159,28 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
                              ndcg={k: None for k in ks}, auc=None,
                              n_users_evaluated=0, scorer=scorer, target=target,
                              seed=seed, defined=False)
-    n_pois = finals.p.data.shape[0]
-    all_pois = np.arange(n_pois)
-    scores = np.empty((len(users), n_pois))
-    for i, u in enumerate(users):
-        scores[i] = score_candidates(finals, u, all_pois, scorer)
-        if target == "test":
-            exclude = np.concatenate([split.train.user_pois(u),
-                                      split.val.user_pois(u)])
-        else:
-            exclude = split.train.user_pois(u)
-        scores[i, exclude.astype(int)] = -np.inf
-    # One stable argsort ranks every user at once.  Excluded entries sink
-    # below every finite score, so each remaining candidate lands at the
-    # exact position rank_candidates would give it, ties still breaking
-    # toward the smaller POI id.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    position = np.empty_like(order)
-    position[np.arange(len(users))[:, None], order] = all_pois[None, :]
     recall_acc = {k: 0.0 for k in ks}
     ndcg_acc = {k: 0.0 for k in ks}
     auc_acc = 0.0
-    for i, u in enumerate(users):
-        targets = np.asarray(target_set.user_pois(u), dtype=int)
-        ranks = np.sort(position[i, targets] + 1)
-        idcg = sum(1.0 / np.log2(r + 1) for r in range(1, len(targets) + 1))
-        for k in ks:
-            within = ranks[ranks <= k]
-            recall_acc[k] += len(within) / len(targets)
-            dcg = 0.0
-            for r in within:
-                dcg += 1.0 / np.log2(r + 1)
-            ndcg_acc[k] += dcg / idcg
+    for u in users:
+        row = score_catalog(finals, u, scorer)
+        targets = target_set.user_pois(u)
+        pos_scores = row[targets]
         if with_auc:
             negs = sample_auc_negatives(split, u, len(targets), seed)
-            pos_scores = score_candidates(finals, u, targets, scorer)
-            neg_scores = score_candidates(finals, u, negs, scorer)
-            auc_acc += pair_auc(pos_scores, neg_scores)
+            auc_acc += pair_auc(pos_scores, row[negs])
+        row[split.train.user_pois(u)] = -np.inf
+        if target == "test":
+            row[split.val.user_pois(u)] = -np.inf
+        # the rank rank_candidates gives a target: one plus the candidates
+        # scoring higher, plus those tied with it that have a smaller id
+        ranks = np.sort([1 + np.count_nonzero(row > s)
+                         + np.count_nonzero(row[:t] == s)
+                         for t, s in zip(targets.tolist(), pos_scores.tolist())])
+        for k in ks:
+            recall, ndcg = _recall_ndcg(ranks, len(targets), k)
+            recall_acc[k] += recall
+            ndcg_acc[k] += ndcg
     n_eval = len(users)
     return MetricsReport(
         recall={k: recall_acc[k] / n_eval for k in ks},

@@ -11,6 +11,7 @@ mean of the geographical and functional chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,6 +126,12 @@ class FinalEmbeddings:
     p_f: ad.Tensor
     u: ad.Tensor
     p: ad.Tensor
+
+    @cached_property
+    def p_mean(self) -> np.ndarray:
+        """The catalog-average fused POI embedding, the counterfactual
+        reference every user's tie score subtracts."""
+        return self.p.data.mean(axis=0)
 
 
 @dataclass

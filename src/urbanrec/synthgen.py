@@ -83,8 +83,10 @@ class GroundTruth:
         """Top-quantile POIs by true affinity for one user, ties to low id."""
         aff = self.taste[user] @ self.attr.T
         count = max(1, math.ceil(fraction * len(aff)))
-        order = np.lexsort((np.arange(len(aff)), -aff))
-        return set(int(p) for p in order[:count])
+        cut = aff[np.argpartition(-aff, count - 1)[count - 1]]
+        above = np.flatnonzero(aff > cut)
+        at_cut = np.flatnonzero(aff == cut)[:count - len(above)]
+        return set(above.tolist()) | set(at_cut.tolist())
 
 
 def region_grid_side(n_regions: int) -> int:

@@ -125,3 +125,12 @@ def naive_ndcg(ranked, positives, k) -> float:
 
 def naive_recall(ranked, positives, k) -> float:
     return len(set(ranked[:k]) & set(positives)) / len(positives)
+
+
+def naive_top_quantile(aff, fraction) -> set:
+    """The ceil(fraction * n) best entries of an affinity row by a full sort,
+    ties to the smaller index (at least one)."""
+    n = len(aff)
+    count = max(1, int(np.ceil(fraction * n)))
+    order = sorted(range(n), key=lambda p: (-aff[p], p))
+    return set(order[:count])

@@ -1,5 +1,7 @@
 """Counterfactual scorer tests: closed forms, invariants, vectorization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,36 +20,72 @@ def make_finals(rng, n_users=3, n_pois=5, d=4) -> FinalEmbeddings:
                            ad.Tensor((p_g + p_f) / 2))
 
 
+def finals_from(u, p, u_g=None, p_g=None) -> FinalEmbeddings:
+    """One user's finals with the given fused rows u and p; the geo rows
+    default to ones, and y_up scoring reads the fused rows alone."""
+    u, p = np.atleast_2d(u).astype(float), np.atleast_2d(p).astype(float)
+    u_g = np.ones_like(u) if u_g is None else np.atleast_2d(u_g).astype(float)
+    p_g = np.ones_like(p) if p_g is None else np.atleast_2d(p_g).astype(float)
+    return FinalEmbeddings(ad.Tensor(u_g), ad.Tensor(u), ad.Tensor(p_g),
+                           ad.Tensor(p), ad.Tensor(u), ad.Tensor(p))
+
+
+def pair_oracle(finals: FinalEmbeddings, u: int, p: int) -> cf.ScoreBundle:
+    """One pair's bundle from scalar loops over the embedding coordinates,
+    the reference being the plain average of the user's catalog matches."""
+    def dot(a, b):
+        return sum(a[i] * b[i] for i in range(len(a)))
+    U, P = finals.u.data, finals.p.data
+    ref = sum(dot(U[u], P[t]) for t in range(len(P))) / len(P)
+    return cf.bundle_scores(dot(U[u], P[p]),
+                            dot(finals.u_g.data[u], finals.p_g.data[p]), ref)
+
+
 def test_score_match_zero_and_basis():
-    assert cf.score_match(np.zeros(4), np.ones(4)) == 0.0
+    finals = finals_from(np.zeros(4), np.ones(4))
+    assert cf.score_candidates(finals, 0, np.array([0]), "y_up")[0] == 0.0
     e1 = np.eye(4)[0]
-    assert cf.score_match(e1, e1) == 1.0
+    finals = finals_from(e1, e1)
+    assert cf.score_candidates(finals, 0, np.array([0]), "y_up")[0] == 1.0
 
 
 def test_score_match_scalar_loop_oracle():
     rng = np.random.default_rng(0)
     u, p = rng.normal(size=32), rng.normal(size=32)
     direct = sum(u[i] * p[i] for i in range(32))
-    assert abs(cf.score_match(u, p) - direct) < 1e-12
+    got = cf.score_candidates(finals_from(u, p), 0, np.array([0]), "y_up")[0]
+    assert abs(got - direct) < 1e-12
 
 
 def test_score_geo_orthogonal_and_aligned():
-    assert cf.score_geo(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    # with a unit match, the total effect is the geo gate tanh(u_g . p_g)
+    e1 = np.eye(2)[0]
+    finals = finals_from(e1, e1, u_g=[1.0, 0.0], p_g=[0.0, 1.0])
+    assert cf.score_candidates(finals, 0, np.array([0]), "te")[0] == 0.0
     v = np.array([0.6, 0.8])
-    assert abs(cf.score_geo(v, v) - 1.0) < 1e-12
+    finals = finals_from(e1, e1, u_g=v, p_g=v)
+    te = cf.score_candidates(finals, 0, np.array([0]), "te")[0]
+    assert abs(np.arctanh(te) - 1.0) < 1e-12
 
 
 def test_reference_score_identical_pois():
     q = np.array([0.3, -0.2, 0.5])
-    all_pois = np.tile(q, (7, 1))
     u = np.array([1.0, 2.0, 3.0])
-    assert abs(cf.reference_score(u, all_pois) - np.dot(u, q)) < 1e-12
+    finals = finals_from(u, np.tile(q, (7, 1)))
+    assert abs(finals.u.data[0] @ finals.p_mean - np.dot(u, q)) < 1e-12
+    # every POI is the average one, so nothing is left to debias
+    tie = cf.score_candidates(finals, 0, np.arange(7), "tie")
+    assert np.abs(tie).max() < 1e-12
 
 
 def test_reference_score_symmetric_pois_cancel():
     q = np.array([0.4, -0.1])
-    all_pois = np.stack([q, -q])
-    assert abs(cf.reference_score(np.array([2.0, 5.0]), all_pois)) < 1e-12
+    finals = finals_from(np.array([2.0, 5.0]), np.stack([q, -q]))
+    assert abs(finals.u.data[0] @ finals.p_mean) < 1e-12
+    both = np.arange(2)
+    np.testing.assert_allclose(cf.score_candidates(finals, 0, both, "tie"),
+                               cf.score_candidates(finals, 0, both, "te"),
+                               atol=1e-12)
 
 
 def test_reference_score_average_oracle():
@@ -55,7 +93,15 @@ def test_reference_score_average_oracle():
     u = rng.normal(size=6)
     pois = rng.normal(size=(5, 6))
     avg = np.mean([np.dot(u, pois[t]) for t in range(5)])
-    assert abs(cf.reference_score(u, pois) - avg) < 1e-12
+    finals = finals_from(u, pois)
+    assert abs(finals.u.data[0] @ finals.p_mean - avg) < 1e-12
+
+
+def test_p_mean_is_cached_outside_the_fields():
+    finals = make_finals(np.random.default_rng(8))
+    assert finals.p_mean is finals.p_mean
+    np.testing.assert_array_equal(finals.p_mean, finals.p.data.mean(axis=0))
+    assert [f.name for f in fields(finals)] == ["u_g", "u_f", "p_g", "p_f", "u", "p"]
 
 
 def test_fuse_values():
@@ -115,19 +161,21 @@ def test_reference_shift_invariance():
 def test_tie_score_bundle_matches_manual():
     rng = np.random.default_rng(4)
     finals = make_finals(rng)
-    ref = cf.user_reference(finals, 1)
-    b = cf.tie_score(1, 3, finals, ref)
+    ref = np.mean([np.dot(finals.u.data[1], finals.p.data[t]) for t in range(5)])
     u, p = finals.u.data[1], finals.p.data[3]
     u_g, p_g = finals.u_g.data[1], finals.p_g.data[3]
-    assert abs(b.y_up - np.dot(u, p)) < 1e-12
-    assert abs(b.y_ug - np.dot(u_g, p_g)) < 1e-12
-    assert abs(b.tie - (np.dot(u, p) - ref) * np.tanh(np.dot(u_g, p_g))) < 1e-12
+    one = np.array([3])
+    assert abs(cf.score_candidates(finals, 1, one, "y_up")[0] - np.dot(u, p)) < 1e-12
+    assert abs(cf.score_candidates(finals, 1, one, "te")[0]
+               - np.dot(u, p) * np.tanh(np.dot(u_g, p_g))) < 1e-12
+    assert abs(cf.score_candidates(finals, 1, one, "tie")[0]
+               - (np.dot(u, p) - ref) * np.tanh(np.dot(u_g, p_g))) < 1e-12
 
 
 def test_te_ranking_equals_fused_ranking():
     rng = np.random.default_rng(5)
     finals = make_finals(rng, n_pois=10)
-    tes = np.array([cf.te_score(0, p, finals) for p in range(10)])
+    tes = cf.score_candidates(finals, 0, np.arange(10), "te")
     fused = np.array([cf.fuse(np.dot(finals.u.data[0], finals.p.data[p]),
                               np.dot(finals.u_g.data[0], finals.p_g.data[p]))
                       for p in range(10)])
@@ -139,12 +187,11 @@ def test_score_candidates_matches_pairwise():
     rng = np.random.default_rng(6)
     finals = make_finals(rng, n_pois=8)
     cand = np.array([0, 2, 5, 7])
-    ref = cf.user_reference(finals, 2)
     tie_vec = cf.score_candidates(finals, 2, cand, "tie")
     te_vec = cf.score_candidates(finals, 2, cand, "te")
     up_vec = cf.score_candidates(finals, 2, cand, "y_up")
     for i, p in enumerate(cand):
-        b = cf.tie_score(2, int(p), finals, ref)
+        b = pair_oracle(finals, 2, int(p))
         assert abs(tie_vec[i] - b.tie) < 1e-12
         assert abs(te_vec[i] - b.te) < 1e-12
         assert abs(up_vec[i] - b.y_up) < 1e-12

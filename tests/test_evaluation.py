@@ -1,5 +1,7 @@
 """Ranking metric tests, including the hand-computed 4-user fixture."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,113 @@ def test_evaluate_matches_per_user_reference():
             assert report.recall[k] == recall_acc[k] / n_users
             assert report.ndcg[k] == ndcg_acc[k] / n_users
         assert report.auc == auc_acc / n_users
+
+
+def tied_finals_and_split(rng, n_users=10, n_half=30, d=3):
+    """Finals whose POIs come in identical pairs (POI i + n_half copies POI
+    i) with small-integer coordinates, so that every score is exact and
+    equal scores fall across every cut-off and across the exclusions."""
+    n_pois = 2 * n_half
+
+    def ints(n):
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+
+    p_g, p_f = ints(n_half), ints(n_half)
+    p_g, p_f = np.concatenate([p_g, p_g]), np.concatenate([p_f, p_f])
+    u_g, u_f = ints(n_users), ints(n_users)
+    finals = FinalEmbeddings(ad.Tensor(u_g), ad.Tensor(u_f), ad.Tensor(p_g),
+                             ad.Tensor(p_f), ad.Tensor(u_g + u_f),
+                             ad.Tensor(p_g + p_f))
+    train, val, test = set(), set(), set()
+    for u in range(n_users):
+        pois = rng.choice(n_pois, size=16, replace=False)
+        train.update((u, int(p)) for p in pois[:8])
+        val.update((u, int(p)) for p in pois[8:11])
+        test.update((u, int(p)) for p in pois[11:])
+    mks = lambda ps: InteractionSet(n_users, n_pois, frozenset(ps))
+    return finals, DatasetSplit(mks(train), mks(val), mks(test))
+
+
+def test_rank_candidates_exact_ties_match_lexsort_oracle():
+    finals, split = tied_finals_and_split(np.random.default_rng(10))
+    ids = np.arange(finals.p.data.shape[0])
+    straddled = 0
+    for scorer in ("tie", "te", "y_up"):
+        for u in range(split.n_users):
+            scores = score_candidates(finals, u, ids, scorer)
+            exclude = np.concatenate([split.train.user_pois(u),
+                                      split.val.user_pois(u)])
+            for ex in (exclude, np.array([], dtype=np.int64)):
+                ranked = ev.rank_candidates(u, finals, scorer, ex)
+                cand = np.setdiff1d(ids, ex)
+                oracle = cand[np.lexsort((cand, -scores[cand]))]
+                np.testing.assert_array_equal(ranked, oracle)
+            kept = np.setdiff1d(ids, exclude)
+            straddled += bool(np.isin(scores[exclude], scores[kept]).any())
+    assert straddled == 3 * split.n_users
+
+
+def test_evaluate_exact_ties_match_per_user_loop():
+    finals, split = tied_finals_and_split(np.random.default_rng(11))
+    ks = (1, 2, 3, 5, 8, 13)
+    for scorer in ("tie", "te", "y_up"):
+        for target, seen in (("test", (split.train, split.val)),
+                             ("val", (split.train,))):
+            target_set = split.test if target == "test" else split.val
+            recall_acc = {k: 0.0 for k in ks}
+            ndcg_acc = {k: 0.0 for k in ks}
+            auc_acc = 0.0
+            straddled = 0
+            for u in range(split.n_users):
+                targets = target_set.user_pois(u)
+                exclude = np.concatenate([s.user_pois(u) for s in seen])
+                ranked = ev.rank_candidates(u, finals, scorer, exclude)
+                for k in ks:
+                    recall_acc[k] += ev.recall_at_k(ranked, targets, k)
+                    ndcg_acc[k] += ev.ndcg_at_k(ranked, targets, k)
+                negs = ev.sample_auc_negatives(split, u, len(targets), seed=5)
+                auc_acc += ev.pair_auc(score_candidates(finals, u, targets, scorer),
+                                       score_candidates(finals, u, negs, scorer))
+                scores = score_candidates(finals, u, ranked, scorer)
+                straddled += sum(scores[k - 1] == scores[k] for k in ks)
+            assert straddled > 0
+            report = ev.evaluate(finals, split, scorer=scorer, target=target,
+                                 ks=ks, seed=5)
+            n = split.n_users
+            assert report.n_users_evaluated == n
+            for k in ks:
+                assert report.recall[k] == recall_acc[k] / n
+                assert report.ndcg[k] == ndcg_acc[k] / n
+            assert report.auc == auc_acc / n
+
+
+def test_evaluate_peak_memory_does_not_grow_with_users():
+    rng = np.random.default_rng(12)
+    n_users, n_pois, d = 400, 4000, 8
+    mk = lambda n: ad.Tensor(rng.normal(size=(n, d)))
+    finals = FinalEmbeddings(mk(n_users), mk(n_users), mk(n_pois), mk(n_pois),
+                             mk(n_users), mk(n_pois))
+    train, test = set(), set()
+    for u in range(n_users):
+        pois = rng.choice(n_pois, size=12, replace=False)
+        train.update((u, int(p)) for p in pois[:10])
+        test.update((u, int(p)) for p in pois[10:])
+    mks = lambda ps: InteractionSet(n_users, n_pois, frozenset(ps))
+    empty = mks(set())
+
+    def peak(test_pairs):
+        split = DatasetSplit(mks(train), empty, mks(test_pairs))
+        tracemalloc.start()
+        try:
+            report = ev.evaluate(finals, split, scorer="tie")
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    few, report_few = peak({(u, p) for u, p in test if u < 40})
+    every, report_every = peak(test)
+    assert (report_few.n_users_evaluated, report_every.n_users_evaluated) == (40, 400)
+    assert every <= 1.5 * few, (every, few)
 
 
 def test_evaluate_val_target_excludes_train_only():

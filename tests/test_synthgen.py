@@ -216,6 +216,32 @@ def test_functional_positives_quantile():
     worst_in = min(aff[p] for p in pos)
     best_out = max(aff[p] for p in range(120) if p not in pos)
     assert worst_in >= best_out
+    for u in range(gt.config.n_users):
+        aff = gt.taste[u] @ gt.attr.T
+        for fraction in (0.05, 0.2):
+            assert gt.functional_positives(u, fraction) == \
+                oracles.naive_top_quantile(aff, fraction)
+
+
+def test_functional_positives_ties_at_the_cut_go_to_low_ids():
+    # integer coordinates make every affinity exact, and each attribute row
+    # appears three times, so equal affinities straddle the quantile cut
+    rng = np.random.default_rng(8)
+    base = rng.integers(-2, 3, size=(40, 3)).astype(float)
+    attr = np.concatenate([base, base, base])[rng.permutation(120)]
+    taste = rng.integers(-2, 3, size=(40, 3)).astype(float)
+    cfg = sg.CityConfig(**{**SMALL, "latent_dim": 3})
+    gt = sg.GroundTruth(cfg, taste, attr, np.zeros(40, dtype=np.int64),
+                        np.zeros(120, dtype=np.int64))
+    straddled = 0
+    for u in range(40):
+        aff = gt.taste[u] @ gt.attr.T
+        for fraction in (0.05, 0.1, 0.25):
+            pos = gt.functional_positives(u, fraction)
+            assert pos == oracles.naive_top_quantile(aff, fraction)
+            cut = min(aff[p] for p in pos)
+            straddled += any(aff[p] == cut for p in range(120) if p not in pos)
+    assert straddled > 10
 
 
 def test_functional_ndcg_oracle_scorer_is_one():
