@@ -35,12 +35,8 @@ def rank_candidates(user: int, finals: FinalEmbeddings, scorer: str,
     keep[np.asarray(exclude, dtype=np.int64)] = False
     candidates = np.flatnonzero(keep)
     neg = -score_candidates(finals, user, candidates, scorer)
-    order = np.argsort(neg)
-    if not (np.diff(neg[order]) > 0).all():
-        # equal scores (or NaN): a stable sort over the ascending ids puts
-        # the smaller id first; the unstable one above is several times faster
-        order = np.argsort(neg, kind="stable")
-    return candidates[order]
+    # stable over the ascending ids: equal scores keep the smaller id first
+    return candidates[np.argsort(neg, kind="stable")]
 
 
 def _recall_ndcg(ranks: np.ndarray, count: int, k: int) -> tuple:
