@@ -25,7 +25,7 @@ kg, checkins, truth = generate_city(cfg)
 print(f"entities: {sum(kg.populations.values())} "
       f"across {len(kg.populations)} classes")
 print(f"triplets: {len(kg.triplets)}")
-print(f"check-ins: {len(checkins.pairs)} "
+print(f"check-ins: {len(checkins)} "
       f"({cfg.interactions_per_user} per user)")
 
 ###############################################################################

@@ -24,8 +24,8 @@ from urbanrec.training import HyperParams, fit
 cfg = CityConfig(n_users=500, n_pois=2000, geo_strength=5.0, seed=2)
 kg, checkins, _ = generate_city(cfg)
 split = split_dataset(checkins, (0.8, 0.1, 0.1), seed=2)
-print(f"train/val/test pairs: {len(split.train.pairs)}/"
-      f"{len(split.val.pairs)}/{len(split.test.pairs)}")
+print(f"train/val/test pairs: {len(split.train)}/"
+      f"{len(split.val)}/{len(split.test)}")
 
 bundle = build_graphs(kg, split)
 dims = dims_for(kg, split, d=32, n_intents=4, n_layers=3)

@@ -174,7 +174,7 @@ def _load_data(data_dir: str):
     iset = parse_checkins(ck_path.read_text())
     # parse_checkins infers n_pois from the largest id seen, which falls short
     # of the graph when its last POIs drew no check-in
-    return kg, InteractionSet(iset.n_users, kg.n_pois, iset.pairs)
+    return kg, InteractionSet(iset.n_users, kg.n_pois, iset.ids)
 
 
 def _load_ground_truth(data_dir: str):
@@ -198,7 +198,7 @@ def cmd_gen(args) -> int:
     (out / "ground_truth.txt").write_text(serialize_ground_truth(gt))
     (out / "gen.config").write_text(_config_echo(GEN_KEYS, values))
     print(f"gen out={args.out} triplets={len(kg.triplets)} "
-          f"pairs={len(iset.pairs)}")
+          f"pairs={len(iset)}")
     return 0
 
 
@@ -328,23 +328,16 @@ def _ablation_row(name, scorer, finals, split, gt, eval_seed, fraction) -> dict:
     ranked = {u: rank_candidates(u, finals, scorer, empty)
               for u in range(split.n_users)}
     fndcg = functional_ndcg(ranked, gt, k=20, fraction=fraction)
-    row = {"variant": name, "scorer": scorer,
-           "functional_ndcg@20": fndcg, "auc": report.auc}
-    for k in (20, 40, 60):
-        row[f"recall@{k}"] = report.recall[k]
-        row[f"ndcg@{k}"] = report.ndcg[k]
+    row = {"variant": name, "scorer": scorer}
+    row.update({f"recall@{k}": report.recall[k] for k in (20, 40, 60)})
+    row.update({f"ndcg@{k}": report.ndcg[k] for k in (20, 40, 60)})
+    row.update({"auc": report.auc, "functional_ndcg@20": fndcg})
     return row
 
 
 def _format_row(row: dict) -> str:
-    parts = [f"variant={row['variant']}", f"scorer={row['scorer']}"]
-    for k in (20, 40, 60):
-        parts.append(f"recall@{k}={row[f'recall@{k}']!r}")
-    for k in (20, 40, 60):
-        parts.append(f"ndcg@{k}={row[f'ndcg@{k}']!r}")
-    parts.append(f"auc={row['auc']!r}")
-    parts.append(f"functional_ndcg@20={row['functional_ndcg@20']!r}")
-    return " ".join(parts)
+    # str, not repr: numpy 2 reprs a numpy float as np.float64(...)
+    return " ".join(f"{key}={value}" for key, value in row.items())
 
 
 def cmd_ablate(args) -> int:

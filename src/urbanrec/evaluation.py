@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counterfactual import score_candidates, score_catalog
-from .interactions import DatasetSplit, SaturatedUser
+from .interactions import DatasetSplit, sample_negatives
 from .propagation import FinalEmbeddings
 
 AUC_STREAM = 41
@@ -84,17 +84,8 @@ def pair_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
 def sample_auc_negatives(split: DatasetSplit, user: int, count: int,
                          seed: int) -> np.ndarray:
     """Uniform negatives, rejected against the user's full positive set."""
-    positives = split.full_by_user[user]
-    if len(positives) >= split.n_pois:
-        raise SaturatedUser(f"user {user} interacted with every poi")
     rng = np.random.default_rng(np.random.SeedSequence([seed, AUC_STREAM, user]))
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        neg = int(rng.integers(0, split.n_pois))
-        while neg in positives:
-            neg = int(rng.integers(0, split.n_pois))
-        out[i] = neg
-    return out
+    return sample_negatives(split.full, np.full(count, user), rng)
 
 
 @dataclass
@@ -148,8 +139,7 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
         raise ValueError(f"target must be 'test' or 'val', got {target!r}")
     ks = tuple(ks)
     target_set = split.test if target == "test" else split.val
-    users = [u for u in range(split.n_users)
-             if len(target_set.user_pois(u)) > 0]
+    users = np.flatnonzero(np.diff(target_set.indptr)).tolist()
     if not users:
         return MetricsReport(recall={k: None for k in ks},
                              ndcg={k: None for k in ks}, auc=None,

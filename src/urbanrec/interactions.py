@@ -1,4 +1,4 @@
-"""Check-in data, train/val/test splits, and BPR pair sampling."""
+"""Check-in data, train/val/test splits, and rejection-sampled negatives."""
 
 from __future__ import annotations
 
@@ -32,61 +32,74 @@ class SaturatedUser(ValueError):
 class InteractionSet:
     """A set of (user, poi) check-in pairs over fixed id spaces.
 
-    ``pairs`` is deduplicated by construction.  Views produced by splitting
-    may leave some users empty; the full dataset parsed from disk or emitted
-    by the generator always has at least one pair per user.
+    ``ids``, given as an (n, 2) array or an iterable of pairs, is kept as a
+    read-only (n, 2) int64 array sorted by (user, poi) without duplicates;
+    ``keys`` holds its ``user * n_pois + poi`` values and user u's rows are
+    ``indptr[u]:indptr[u + 1]``.  Split views may leave users empty; parsed
+    or generated data has at least one pair per user.
     """
 
     n_users: int
     n_pois: int
-    pairs: frozenset
-    by_user: list = field(init=False, repr=False)
+    ids: np.ndarray
+    keys: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pairs = frozenset(self.pairs)
-        lists: list[list[int]] = [[] for _ in range(self.n_users)]
-        for u, p in self.pairs:
-            if not (0 <= u < self.n_users):
-                raise ValueError(f"user id {u} out of range [0, {self.n_users})")
-            if not (0 <= p < self.n_pois):
-                raise ValueError(f"poi id {p} out of range [0, {self.n_pois})")
-            lists[u].append(p)
-        self.by_user = [np.array(sorted(l), dtype=np.int64) for l in lists]
+        ids = self.ids if isinstance(self.ids, np.ndarray) else list(self.ids)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1, 2)
+        for name, col, n in zip(("user", "poi"), ids.T, (self.n_users, self.n_pois)):
+            bad = col[(col < 0) | (col >= n)]
+            if len(bad):
+                raise ValueError(f"{name} id {bad[0]} out of range [0, {n})")
+        if self.n_users * self.n_pois >= 2 ** 63:
+            raise ValueError("user x poi id space overflows int64 keys")
+        self.keys = np.unique(ids[:, 0] * self.n_pois + ids[:, 1])
+        self.ids = np.column_stack(np.divmod(self.keys, self.n_pois))
+        self.indptr = np.searchsorted(
+            self.keys, np.arange(self.n_users + 1) * self.n_pois)
+        for arr in (self.ids, self.keys, self.indptr):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ids)
+
+    @property
+    def pairs(self) -> frozenset:
+        """The pairs as a frozenset of (user, poi) tuples, built on each call."""
+        return frozenset(zip(*self.ids.T.tolist()))
 
     def user_pois(self, u: int) -> np.ndarray:
-        return self.by_user[u]
+        return self.ids[self.indptr[u]:self.indptr[u + 1], 1]
+
+    def contains(self, users: np.ndarray, pois: np.ndarray) -> np.ndarray:
+        """Whether each (users[i], pois[i]) is in the set."""
+        keys = users * self.n_pois + pois
+        if not len(self.keys):
+            return np.zeros(keys.shape, dtype=bool)
+        # clipping reads a key past the end as the largest key, which is smaller
+        return self.keys.take(self.keys.searchsorted(keys), mode="clip") == keys
 
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/val/test views over one interaction set."""
+    """Disjoint train/val/test views over one interaction set; ``full`` is
+    their union."""
 
     train: InteractionSet
     val: InteractionSet
     test: InteractionSet
-    full_by_user: list = field(init=False, repr=False)
-    _train_users: np.ndarray = field(init=False, repr=False)
-    _train_pois: np.ndarray = field(init=False, repr=False)
+    full: InteractionSet = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_users, n_pois = self.train.n_users, self.train.n_pois
-        if (self.val.n_users, self.test.n_users) != (n_users, n_users) or \
-           (self.val.n_pois, self.test.n_pois) != (n_pois, n_pois):
+        views = (self.train, self.val, self.test)
+        if len({(v.n_users, v.n_pois) for v in views}) > 1:
             raise ValueError("split views must share id spaces")
-        if (self.train.pairs & self.val.pairs) or (self.train.pairs & self.test.pairs) \
-                or (self.val.pairs & self.test.pairs):
+        self.full = InteractionSet(self.n_users, self.n_pois,
+                                   np.concatenate([v.ids for v in views]))
+        # each view is deduplicated, so only a shared pair shrinks the union
+        if len(self.full) != sum(len(v) for v in views):
             raise ValueError("split views must be disjoint")
-        full = self.train.pairs | self.val.pairs | self.test.pairs
-        sets: list[set] = [set() for _ in range(n_users)]
-        for u, p in full:
-            sets[u].add(p)
-        self.full_by_user = sets
-        arr = np.array(sorted(self.train.pairs), dtype=np.int64).reshape(-1, 2)
-        self._train_users = arr[:, 0]
-        self._train_pois = arr[:, 1]
 
     @property
     def n_users(self) -> int:
@@ -99,7 +112,7 @@ class DatasetSplit:
 
 def parse_checkins(text: str) -> InteractionSet:
     """Parse "user<TAB>poi" lines; ids dense, counts inferred as max id + 1."""
-    pairs: set[tuple[int, int]] = set()
+    ids: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,20 +126,20 @@ def parse_checkins(text: str) -> InteractionSet:
             raise MalformedLine(f"line {lineno}: non-integer id") from None
         if u < 0 or p < 0:
             raise MalformedLine(f"line {lineno}: negative id")
-        pairs.add((u, p))
-    if not pairs:
+        ids += (u, p)
+    if not ids:
         raise EmptyDataset("no check-in pairs found")
-    n_users = max(u for u, _ in pairs) + 1
-    n_pois = max(p for _, p in pairs) + 1
-    iset = InteractionSet(n_users, n_pois, frozenset(pairs))
-    for u in range(n_users):
-        if len(iset.by_user[u]) == 0:
-            raise EmptyDataset(f"user {u} has no check-ins")
+    arr = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    n_users, n_pois = (int(m) + 1 for m in arr.max(axis=0))
+    iset = InteractionSet(n_users, n_pois, arr)
+    empty = np.flatnonzero(np.diff(iset.indptr) == 0)
+    if len(empty):
+        raise EmptyDataset(f"user {empty[0]} has no check-ins")
     return iset
 
 
 def serialize_checkins(iset: InteractionSet) -> str:
-    lines = [f"{u}\t{p}" for u in range(iset.n_users) for p in iset.by_user[u]]
+    lines = [f"{u}\t{p}" for u, p in iset.ids.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -138,36 +151,50 @@ def split_dataset(iset: InteractionSet, ratios: tuple[float, float, float],
     test each get max(1, floor(n * ratio)) pairs and train keeps the rest,
     with pairs pulled back from test then val if train would end up empty.
     """
-    r_train, r_val, r_test = ratios
+    _, r_val, r_test = ratios
     if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise BadRatios(f"ratios must be positive and sum to 1, got {ratios}")
-    train: set = set()
-    val: set = set()
-    test: set = set()
+    # 0/1/2 = train/val/test for each row of iset.ids
+    labels = np.zeros(len(iset), dtype=np.int8)
+    starts = iset.indptr.tolist()
     for u in range(iset.n_users):
-        pois = iset.by_user[u]
-        n = len(pois)
-        if n == 0:
-            continue
+        start, n = starts[u], starts[u + 1] - starts[u]
         if n < 3:
-            train.update((u, int(p)) for p in pois)
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, SPLIT_STREAM, u]))
-        perm = pois[rng.permutation(n)]
+        perm = start + rng.permutation(n)
         n_val = max(1, int(np.floor(n * r_val)))
-        n_test = max(1, int(np.floor(n * r_test)))
-        n_train = n - n_val - n_test
-        while n_train < 1:
-            if n_test > 1:
-                n_test -= 1
-            else:
-                n_val -= 1
-            n_train = n - n_val - n_test
-        train.update((u, int(p)) for p in perm[:n_train])
-        val.update((u, int(p)) for p in perm[n_train:n_train + n_val])
-        test.update((u, int(p)) for p in perm[n_train + n_val:])
-    make = lambda pairs: InteractionSet(iset.n_users, iset.n_pois, frozenset(pairs))
-    return DatasetSplit(make(train), make(val), make(test))
+        n_test = min(max(1, int(np.floor(n * r_test))), max(1, n - 1 - n_val))
+        n_val = min(n_val, n - 1 - n_test)
+        labels[perm[n - n_test - n_val:]] = 1
+        labels[perm[n - n_test:]] = 2
+    make = lambda k: InteractionSet(iset.n_users, iset.n_pois, iset.ids[labels == k])
+    return DatasetSplit(make(0), make(1), make(2))
+
+
+def sample_negatives(full: InteractionSet, users: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Per entry of ``users``, a uniform POI redrawn while (user, poi) is in
+    ``full``: the values and ``rng`` state of one scalar ``rng.integers`` call
+    per draw.  All first draws are tested at once; a rejected one moves later
+    entries one draw down the stream, and a window from it is tested again.
+    """
+    n, n_pois = len(users), full.n_pois
+    out = rng.integers(0, n_pois, size=n)
+    k, span = 0, n
+    while k < n:
+        rejected = full.contains(users[k:k + span], out[k:k + span])
+        j = int(rejected.argmax())
+        if not rejected[j]:
+            k += span
+            continue
+        k, u = k + j, users[k + j]
+        if full.indptr[u + 1] - full.indptr[u] >= n_pois:
+            raise SaturatedUser(f"user {u} interacted with every poi")
+        out[k:-1] = out[k + 1:]
+        out[-1] = rng.integers(0, n_pois)
+        span = 64  # short re-tests: the next rejection shifts everything after it again
+    return out
 
 
 def sample_bpr_batch(split: DatasetSplit, batch_size: int,
@@ -180,24 +207,12 @@ def sample_bpr_batch(split: DatasetSplit, batch_size: int,
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n_train = len(split._train_users)
+    n_train = len(split.train)
     if n_train == 0:
         raise EmptyDataset("no training pairs to sample from")
-    n_pois = split.n_pois
-    idx = rng.integers(0, n_train, size=batch_size)
     out = np.empty((batch_size, 3), dtype=np.int64)
-    out[:, 0] = split._train_users[idx]
-    out[:, 1] = split._train_pois[idx]
-    negs = []
-    for u in out[:, 0].tolist():
-        positives = split.full_by_user[u]
-        if len(positives) >= n_pois:
-            raise SaturatedUser(f"user {u} interacted with every poi")
-        neg = int(rng.integers(0, n_pois))
-        while neg in positives:
-            neg = int(rng.integers(0, n_pois))
-        negs.append(neg)
-    out[:, 2] = negs
+    out[:, :2] = split.train.ids[rng.integers(0, n_train, size=batch_size)]
+    out[:, 2] = sample_negatives(split.full, out[:, 0], rng)
     return out
 
 

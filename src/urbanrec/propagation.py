@@ -60,7 +60,7 @@ class PropagationGraph:
 
 def _user_aggregation(split: DatasetSplit) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(n_users x n_pois) matrix with 1/|train positives of u| entries."""
-    users, pois = split._train_users, split._train_pois
+    users, pois = split.train.ids.T
     deg = np.bincount(users, minlength=split.n_users)
     mat = sp.csr_matrix((1.0 / deg[users], (users, pois)),
                         shape=(split.n_users, split.n_pois))

@@ -239,26 +239,26 @@ def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth
         for b in range(cfg.n_regions):
             prox[a, b] = proximity(region_distance(a, b, side))
 
-    pairs = []
+    k = cfg.interactions_per_user
+    pois = np.empty((cfg.n_users, k), dtype=np.int64)
     for u in range(cfg.n_users):
         w = taste[u] @ attr.T + cfg.geo_strength * prox[home[u], poi_region]
         log_weight = -np.logaddexp(0.0, -w)  # log sigmoid(w)
         u_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, INTERACT_STREAM, u]))
         keys = log_weight + u_rng.gumbel(size=cfg.n_pois)
-        chosen = np.argpartition(-keys, cfg.interactions_per_user - 1)
-        for p in chosen[:cfg.interactions_per_user]:
-            pairs.append((u, int(p)))
+        pois[u] = np.argpartition(-keys, k - 1)[:k]
 
-    iset = InteractionSet(cfg.n_users, cfg.n_pois, frozenset(pairs))
+    ids = np.column_stack([np.repeat(np.arange(cfg.n_users), k), pois.ravel()])
+    iset = InteractionSet(cfg.n_users, cfg.n_pois, ids)
     gt = GroundTruth(cfg, taste, attr, home, poi_region.astype(np.int64))
     return kg, iset, gt
 
 
 def same_region_rate(iset: InteractionSet, gt: GroundTruth) -> float:
     """Fraction of check-ins landing in the user's home region."""
-    hits = sum(1 for u, p in iset.pairs if gt.poi_region[p] == gt.home_region[u])
-    return hits / len(iset.pairs)
+    users, pois = iset.ids.T
+    return np.count_nonzero(gt.poi_region[pois] == gt.home_region[users]) / len(iset)
 
 
 def functional_ndcg(ranked_by_user: dict, gt: GroundTruth, k: int,

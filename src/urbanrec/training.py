@@ -349,8 +349,8 @@ def tiny_instance(seed: int = 7):
     pops = {"POI": 3, "Region": 1, "BusinessArea": 1, "Brand": 1,
             "Cate1": 1, "Cate2": 0, "Cate3": 0}
     kg = UrbanKG(triplets, pops)
-    mk = lambda ps: InteractionSet(3, 3, frozenset(ps))
-    split = DatasetSplit(mk({(0, 0), (0, 1), (1, 1), (2, 2)}), mk(set()), mk(set()))
+    mk = lambda ps: InteractionSet(3, 3, ps)
+    split = DatasetSplit(mk([(0, 0), (0, 1), (1, 1), (2, 2)]), mk([]), mk([]))
     bundle = build_graphs(kg, split)
     dims = dims_for(kg, split, d=4, n_intents=2, n_layers=2)
     params = init_params(dims, seed)

@@ -98,6 +98,23 @@ def naive_propagation(E, S, R, triplets, train_pois, n_users, n_layers):
     return states
 
 
+# -- negative sampling -----------------------------------------------------------
+
+
+def naive_negatives(positives, users, n_pois, rng):
+    """One negative per user, in order: one scalar ``rng.integers`` call per
+    draw, redrawn while (user, draw) is in the set ``positives``.  Returns
+    the negatives and how many draws each one took."""
+    negs, draws = [], []
+    for u in users:
+        neg, tries = int(rng.integers(0, n_pois)), 1
+        while (u, neg) in positives:
+            neg, tries = int(rng.integers(0, n_pois)), tries + 1
+        negs.append(neg)
+        draws.append(tries)
+    return negs, draws
+
+
 # -- metrics -------------------------------------------------------------------------
 
 

@@ -256,6 +256,9 @@ def test_ablate_writes_three_rows(tmp_path, capsys):
         for col in ("recall@20=", "recall@40=", "recall@60=", "ndcg@20=",
                     "ndcg@40=", "ndcg@60=", "auc=", "functional_ndcg@20="):
             assert col in row
+        # every metric is written as a plain float, not a numpy repr
+        for field in row.split()[2:]:
+            float(field.split("=", 1)[1])
     # the no-counterfactual variant reranks the same trained model by plain
     # total effect, so it shares the full variant's checkpoint
     assert "scorer=te" in rows[1]

@@ -179,6 +179,30 @@ def test_fixture_auc_matches_pairwise_oracle():
     assert report.auc == expect / 3
 
 
+@pytest.mark.parametrize("n_pois,per_user", [(2000, 20), (50, 30)],
+                         ids=["sparse", "dense"])
+def test_auc_negatives_match_scalar_rejection_oracle(n_pois, per_user,
+                                                     monkeypatch):
+    # 1% and 60% of the catalog per user; counts up to several re-test windows
+    rng = np.random.default_rng(6)
+    pairs = [(u, int(p)) for u in range(6)
+             for p in rng.choice(n_pois, size=per_user, replace=False)]
+    mk = lambda ps: InteractionSet(6, n_pois, ps)
+    split = DatasetSplit(mk(pairs[::2]), mk(pairs[1::4]), mk(pairs[3::4]))
+    used = []
+    sample = ev.sample_negatives
+    monkeypatch.setattr(ev, "sample_negatives",
+                        lambda full, users, rng: used.append(rng)
+                        or sample(full, users, rng))
+    for u in range(6):
+        for count in (1, 3, 200):
+            ref = np.random.default_rng(
+                np.random.SeedSequence([9, ev.AUC_STREAM, u]))
+            want, _ = oracles.naive_negatives(set(pairs), [u] * count, n_pois, ref)
+            assert ev.sample_auc_negatives(split, u, count, 9).tolist() == want
+            assert used.pop().bit_generator.state == ref.bit_generator.state
+
+
 def test_evaluate_empty_test_split():
     mk = lambda ps: InteractionSet(2, 4, frozenset(ps))
     split = DatasetSplit(mk({(0, 0), (1, 1)}), mk(set()), mk(set()))

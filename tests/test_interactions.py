@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from urbanrec import interactions as ia
 
 
@@ -48,6 +49,39 @@ def test_round_trip():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         ia.InteractionSet(1, 1, frozenset({(0, 3)}))
+    # user * n_pois + poi keys must fit in int64
+    with pytest.raises(ValueError, match="overflows"):
+        ia.InteractionSet(2 ** 32, 2 ** 31, [])
+
+
+def test_set_sorts_and_deduplicates_arrays_and_tuples():
+    rows = [(2, 1), (0, 3), (2, 1), (0, 0), (1, 2), (0, 3)]
+    want = [[0, 0], [0, 3], [1, 2], [2, 1]]
+    for given in (rows, np.array(rows, dtype=np.int64)):
+        s = ia.InteractionSet(3, 4, given)
+        assert s.ids.dtype == np.int64 and s.ids.tolist() == want
+        assert len(s) == 4 and np.diff(s.indptr).tolist() == [2, 1, 1]
+        assert s.pairs == frozenset(map(tuple, want))
+
+
+def test_user_pois_of_empty_user_is_empty_int64():
+    s = ia.InteractionSet(3, 4, [(0, 1), (2, 3)])
+    pois = s.user_pois(1)
+    assert pois.dtype == np.int64 and pois.shape == (0,)
+    assert ia.InteractionSet(2, 4, []).user_pois(0).shape == (0,)
+
+
+def test_split_rejects_overlapping_views():
+    mk = lambda ps: ia.InteractionSet(2, 3, ps)
+    with pytest.raises(ValueError, match="disjoint"):
+        ia.DatasetSplit(mk([(0, 0), (1, 2)]), mk([(0, 1)]), mk([(1, 2)]))
+
+
+def test_split_rejects_views_with_different_id_spaces():
+    mk = lambda n_users, n_pois: ia.InteractionSet(n_users, n_pois, [(0, 0)])
+    for val in (mk(3, 3), mk(2, 4)):
+        with pytest.raises(ValueError, match="id spaces"):
+            ia.DatasetSplit(mk(2, 3), val, ia.InteractionSet(2, 3, []))
 
 
 def test_split_exact_proportions():
@@ -77,7 +111,7 @@ def test_split_disjoint_union_preserved():
     assert not (split.train.pairs & split.test.pairs)
     assert not (split.val.pairs & split.test.pairs)
     for u in range(20):
-        if len(iset.by_user[u]) >= 1:
+        if len(iset.user_pois(u)) >= 1:
             assert len(split.train.user_pois(u)) >= 1
 
 
@@ -162,3 +196,81 @@ def test_batch_arrays():
     batch = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int64)
     u, p, n = ia.batch_arrays(batch)
     assert u.tolist() == [0, 3] and p.tolist() == [1, 4] and n.tolist() == [2, 5]
+
+
+# (n_users, n_pois, pairs per user): 1% and 60% of the catalog per user
+DENSITIES = {"sparse": (40, 2000, 20), "dense": (20, 50, 30)}
+
+
+def random_split(n_users, n_pois, per_user):
+    rng = np.random.default_rng(2)
+    pairs = {(u, int(p)) for u in range(n_users)
+             for p in rng.choice(n_pois, size=per_user, replace=False)}
+    return ia.split_dataset(make_set(pairs, n_users, n_pois), (0.8, 0.1, 0.1),
+                            seed=0)
+
+
+def oracle_bpr(split, batch_size, rng):
+    """A batch as the scalar loop draws it, and its per-triple draw counts."""
+    train = sorted(split.train.pairs)
+    full = split.train.pairs | split.val.pairs | split.test.pairs
+    rows = [train[i] for i in rng.integers(0, len(train), size=batch_size)]
+    negs, draws = oracles.naive_negatives(full, [u for u, _ in rows],
+                                          split.n_pois, rng)
+    return [[u, p, n] for (u, p), n in zip(rows, negs)], draws
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+def test_bpr_matches_scalar_rejection_oracle(density):
+    split = random_split(*DENSITIES[density])
+    ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        batch = ia.sample_bpr_batch(split, 256, ours)
+        want, _ = oracle_bpr(split, 256, ref)
+        assert batch.tolist() == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("density", sorted(DENSITIES))
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+def test_bpr_matches_oracle_when_first_or_last_draw_rejected(density, which):
+    split = random_split(*DENSITIES[density])
+    for seed in range(5000):
+        ref = np.random.default_rng(seed)
+        want, draws = oracle_bpr(split, 16, ref)
+        if draws[which] > 1:
+            break
+    else:
+        pytest.fail("no batch with that draw rejected")
+    ours = np.random.default_rng(seed)
+    assert ia.sample_bpr_batch(split, 16, ours).tolist() == want
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_negatives_match_oracle_across_windows():
+    # far more draws than one re-test window, most of them rejected
+    split = random_split(*DENSITIES["dense"])
+    full = split.train.pairs | split.val.pairs | split.test.pairs
+    users = np.random.default_rng(4).integers(0, split.n_users, size=3000)
+    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = ia.sample_negatives(split.full, users, ours)
+    want, draws = oracles.naive_negatives(full, users.tolist(), split.n_pois, ref)
+    assert sum(draws) > 2 * len(users)
+    assert got.tolist() == want
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_saturated_user_named_first_in_batch_order():
+    # users 1 and 2 hold every poi, user 0 does not
+    mk = lambda ps: ia.InteractionSet(3, 2, ps)
+    split = ia.DatasetSplit(mk([(0, 0), (1, 0), (2, 0), (2, 1)]), mk([(1, 1)]),
+                            mk([]))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ia.SaturatedUser, match="user 2 "):
+        ia.sample_negatives(split.full, np.array([0, 2, 1, 2]), rng)
+    for seed in range(20):
+        users = split.train.ids[
+            np.random.default_rng(seed).integers(0, len(split.train), size=6), 0]
+        first = next(u for u in users.tolist() if u > 0)
+        with pytest.raises(ia.SaturatedUser, match=f"user {first} "):
+            ia.sample_bpr_batch(split, 6, np.random.default_rng(seed))

@@ -124,7 +124,7 @@ def test_interaction_counts():
     assert iset.n_pois == 120
     assert len(iset.pairs) == 40 * 10  # without replacement, no collisions
     for u in range(40):
-        assert len(iset.by_user[u]) == 10
+        assert len(iset.user_pois(u)) == 10
 
 
 def test_determinism_byte_identical():
@@ -189,7 +189,7 @@ def test_gamma_zero_selection_is_pure_functional():
             np.random.SeedSequence([cfg.seed, sg.INTERACT_STREAM, u]))
         keys = -np.logaddexp(0.0, -w) + rng.gumbel(size=cfg.n_pois)
         want = set(np.argsort(-keys)[:cfg.interactions_per_user].tolist())
-        assert set(iset.by_user[u].tolist()) == want
+        assert set(iset.user_pois(u).tolist()) == want
 
 
 def test_proximity_deficit_form():
