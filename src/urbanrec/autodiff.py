@@ -13,6 +13,8 @@ Gradient correctness is enforced against central finite differences (see
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -323,30 +325,74 @@ def rows(a, start: int, stop: int) -> Tensor:
     return _node(a.data[start:stop], (a,), bwd)
 
 
-def relational_spmm(stacked: sp.csr_matrix, stacked_t: sp.csr_matrix,
-                    x, r) -> Tensor:
+@dataclass(frozen=True)
+class RelationalOperator:
+    """Per-relation mean aggregation, kept to the rows that hold an edge.
+
+    Stacked one above the other, the blocks A_k (n x n, entry 1/deg(dst) at
+    (dst, src) for every edge of relation k, duplicate edges summed, deg
+    counted over all relations) form an (n_rel * n x n) matrix.  ``rows``
+    keeps only its m non-empty rows, in stacked order, i.e. sorted by
+    (relation, destination): relation k's rows are the contiguous block
+    ``rel_ptr[k]:rel_ptr[k + 1]``, and row i aggregates into node
+    ``row_dst[i]``.  ``rows_t`` is the transpose in CSR form and
+    ``collapse`` the (n x m) 0/1 matrix that sums each node's rows.  Stacked
+    order makes every sum add the same nonzero terms in the same order as
+    the full stacked matrix would, so results are bit-identical to it.
+    """
+
+    n_rel: int
+    n: int
+    rows: sp.csr_matrix
+    rows_t: sp.csr_matrix
+    collapse: sp.csr_matrix
+    row_dst: np.ndarray
+    rel_ptr: np.ndarray
+
+    @classmethod
+    def from_edges(cls, dst, src, rel, n_rel: int, n: int) -> "RelationalOperator":
+        """Build from directed edges ``src -> dst`` labelled ``rel``."""
+        deg = np.bincount(dst, minlength=n)
+        stacked = sp.csr_matrix((1.0 / deg[dst], (rel * n + dst, src)),
+                                shape=(n_rel * n, n))
+        keys = np.flatnonzero(np.diff(stacked.indptr))
+        kept, m, row_dst = stacked[keys], len(keys), keys % n
+        collapse = sp.csr_matrix((np.ones(m), (row_dst, np.arange(m))),
+                                 shape=(n, m))
+        return cls(n_rel, n, kept, kept.T.tocsr(), collapse, row_dst,
+                   np.searchsorted(keys, np.arange(n_rel + 1) * n))
+
+
+def relational_spmm(op: RelationalOperator, x, r) -> Tensor:
     """Relation-gated aggregation ``sum_k (A_k @ x) * r[k]``.
 
-    ``stacked`` holds the per-relation matrices A_k (n x n each) one above
-    the other, so it has shape (n_rel * n, n); ``stacked_t`` is its
-    transpose in CSR form.  Only the stacked products A_k @ x are kept for
-    the backward pass, never a per-edge array.
+    One sparse product gives the non-empty rows' aggregates; each
+    relation's block of them is gated by its row of ``r``, and ``collapse``
+    sums every node's gated rows in relation order.  Only the (m x d)
+    aggregates are kept for the backward pass, never a per-edge array.
     """
     x, r = astensor(x), astensor(r)
-    n_rel, n = r.shape[0], x.shape[0]
-    if stacked.shape != (n_rel * n, n):
-        raise ValueError(f"a {n_rel}-row relation table does not fit a stacked "
-                         f"matrix of shape {stacked.shape} over {n} nodes")
-    ax = (stacked @ x.data).reshape(n_rel, n, -1)
+    if r.shape[0] != op.n_rel or x.shape[0] != op.n:
+        raise ValueError(f"a {r.shape[0]}-row relation table over {x.shape[0]} "
+                         f"nodes does not fit an operator of {op.n_rel} "
+                         f"relations over {op.n} nodes")
+    agg = op.rows @ x.data
+    blocks = [slice(a, b) for a, b in zip(op.rel_ptr[:-1], op.rel_ptr[1:])]
+    gated = np.empty_like(agg)
+    for k, b in enumerate(blocks):
+        np.multiply(agg[b], r.data[k], out=gated[b])
 
     def bwd(g):
-        if x.requires_grad:
-            gated = (g[None, :, :] * r.data[:, None, :]).reshape(n_rel * n, -1)
-            x._accumulate(stacked_t @ gated)
+        gd = g[op.row_dst]
         if r.requires_grad:
-            r._accumulate(np.einsum("rnd,nd->rd", ax, g))
+            r._accumulate(np.stack([np.einsum("nd,nd->d", agg[b], gd[b])
+                                    for b in blocks]))
+        if x.requires_grad:
+            for k, b in enumerate(blocks):
+                gd[b] *= r.data[k]
+            x._accumulate(op.rows_t @ gd)
 
-    return _node(np.einsum("rnd,rd->nd", ax, r.data), (x, r), bwd)
+    return _node(op.collapse @ gated, (x, r), bwd)
 
 
 def spmm(mat: sp.spmatrix, x, mat_t: sp.spmatrix | None = None) -> Tensor:

@@ -25,37 +25,34 @@ from .ukg import SubGraph, UrbanKG, blended_subgraph, build_adjacency, \
 
 @dataclass
 class PropagationGraph:
-    """Per-relation mean-aggregation matrices for one subgraph.
+    """Relation-gated mean aggregation over one subgraph.
 
     Every stored triplet appears twice (forward and inverse) so messages
     reach tails as well as heads; both directions share the relation
-    embedding.  ``stacked`` is (n_relations * n_nodes x n_nodes) with entry
-    1/deg(dst) at (rel * n_nodes + dst, src), duplicate edges summed: block
-    ``rel`` is the mean aggregation restricted to that relation, so the
-    blocks gated by their relation rows add up to the neighborhood mean of
-    the messages, with empty neighborhoods contributing zero.  ``src`` keeps
-    one entry per directed edge.
+    embedding.  ``op`` holds the per-relation mean-aggregation blocks over
+    the side's whole relation table, kept to their non-empty (relation,
+    node) rows in (relation, destination) order; gated by their relation
+    rows the blocks add up to the neighborhood mean of the messages, with
+    empty neighborhoods contributing zero.  ``src`` keeps one entry per
+    directed edge.
     """
 
     n_nodes: int
     n_pois: int
     src: np.ndarray
-    stacked: sp.csr_matrix
-    stacked_t: sp.csr_matrix
+    op: ad.RelationalOperator
 
     @classmethod
     def from_subgraph(cls, sub: SubGraph) -> "PropagationGraph":
         dst, src, rel = build_adjacency(sub)
         n_nodes = sub.n_pois + sub.entity_count
-        deg = np.bincount(dst, minlength=n_nodes)
-        stacked = sp.csr_matrix((1.0 / deg[dst], (rel * n_nodes + dst, src)),
-                                shape=(sub.n_relations * n_nodes, n_nodes))
-        return cls(n_nodes, sub.n_pois, src, stacked, stacked.T.tocsr())
+        return cls(n_nodes, sub.n_pois, src, ad.RelationalOperator.from_edges(
+            dst, src, rel, sub.n_relations, n_nodes))
 
     def layer(self, X: ad.Tensor, R: ad.Tensor) -> ad.Tensor:
         """One residual update of all POI/entity rows; ``R`` is this side's
         relation table (ValueError for another size)."""
-        return X + ad.relational_spmm(self.stacked, self.stacked_t, X, R)
+        return X + ad.relational_spmm(self.op, X, R)
 
 
 def _user_aggregation(split: DatasetSplit) -> tuple[sp.csr_matrix, sp.csr_matrix]:

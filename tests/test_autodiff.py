@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from urbanrec import autodiff as ad
+from urbanrec.synthgen import CityConfig, generate_city
+from urbanrec.ukg import blended_subgraph, build_adjacency, split_subgraphs
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -134,6 +136,17 @@ def stacked_from_edges(dst, src, rel, n_rel, n):
     return mat, mat.T.tocsr()
 
 
+def stacked_reference(dst, src, rel, n_rel, n, x, r, g):
+    """Output, x gradient and r gradient of the relational op computed over
+    every (relation, node) row of the stacked matrix with two einsums; the
+    compressed operator must reproduce all three bit for bit."""
+    mat, mat_t = stacked_from_edges(dst, src, rel, n_rel, n)
+    ax = (mat @ x).reshape(n_rel, n, -1)
+    gated = (g[None, :, :] * r[:, None, :]).reshape(n_rel * n, -1)
+    return (np.einsum("rnd,rd->nd", ax, r), mat_t @ gated,
+            np.einsum("rnd,nd->rd", ax, g))
+
+
 def edge_messages_mean(dst, src, rel, x, r):
     """Reference: mean over each node's in-edges of r[rel] * x[src]."""
     out = np.zeros_like(x)
@@ -143,23 +156,35 @@ def edge_messages_mean(dst, src, rel, x, r):
     return out
 
 
-def check_relational(dst, src, rel, n_rel, n, d=3):
-    dst, src, rel = (np.asarray(a) for a in (dst, src, rel))
-    mat, mat_t = stacked_from_edges(dst, src, rel, n_rel, n)
+def assert_matches_stacked(dst, src, rel, n_rel, n, d):
+    """Run the operator on random inputs and assert that its output and both
+    gradients equal ``stacked_reference`` exactly."""
+    op = ad.RelationalOperator.from_edges(dst, src, rel, n_rel, n)
     x0, r0 = RNG.normal(size=(n, d)), RNG.normal(size=(n_rel, d))
     w = RNG.normal(size=(n, d))
-    out = ad.relational_spmm(mat, mat_t, x0, r0).data
+    x, r = ad.Tensor(x0, requires_grad=True), ad.Tensor(r0, requires_grad=True)
+    out = ad.relational_spmm(op, x, r)
+    (out * w).sum().backward()
+    got = (out.data, x.grad, r.grad)
+    for a, b in zip(got, stacked_reference(dst, src, rel, n_rel, n, x0, r0, w)):
+        assert np.array_equal(a, b)
+    return op, x0, r0, w, got
+
+
+def check_relational(dst, src, rel, n_rel, n, d=3):
+    dst, src, rel = (np.asarray(a) for a in (dst, src, rel))
+    op, x0, r0, w, (out, x_grad, r_grad) = assert_matches_stacked(
+        dst, src, rel, n_rel, n, d)
     np.testing.assert_allclose(out, edge_messages_mean(dst, src, rel, x0, r0),
                                rtol=1e-12, atol=1e-14)
     # both operands on one tape, each against finite differences
-    x, r = ad.Tensor(x0, requires_grad=True), ad.Tensor(r0, requires_grad=True)
-    (ad.relational_spmm(mat, mat_t, x, r) * w).sum().backward()
-    loss = lambda xv, rv: float((ad.relational_spmm(mat, mat_t, xv, rv).data
+    loss = lambda xv, rv: float((ad.relational_spmm(op, xv, rv).data
                                  * w).sum())
-    np.testing.assert_allclose(x.grad, fd_grad(lambda v: loss(v, r0), x0.copy()),
+    np.testing.assert_allclose(x_grad, fd_grad(lambda v: loss(v, r0), x0.copy()),
                                rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(r.grad, fd_grad(lambda v: loss(x0, v), r0.copy()),
+    np.testing.assert_allclose(r_grad, fd_grad(lambda v: loss(x0, v), r0.copy()),
                                rtol=1e-6, atol=1e-8)
+    return out, r_grad
 
 
 def test_relational_spmm_duplicate_edge_empty_relation_isolated_node():
@@ -168,7 +193,9 @@ def test_relational_spmm_duplicate_edge_empty_relation_isolated_node():
     dst = [0, 0, 0, 1, 1, 2, 3, 3]
     src = [2, 2, 1, 0, 3, 4, 0, 4]
     rel = [1, 1, 0, 3, 0, 1, 3, 0]
-    check_relational(dst, src, rel, n_rel=4, n=5)
+    out, r_grad = check_relational(dst, src, rel, n_rel=4, n=5)
+    assert np.array_equal(r_grad[2], np.zeros(3))
+    assert np.array_equal(out[4], np.zeros(3))
 
 
 def test_relational_spmm_sixteen_relation_table():
@@ -180,11 +207,21 @@ def test_relational_spmm_sixteen_relation_table():
     check_relational(dst, src, rel, n_rel=16, n=n, d=2)
 
 
+@pytest.mark.parametrize("side", ["geo", "func", "blended"])
+def test_relational_spmm_matches_stacked_on_default_city(side):
+    kg, _, _ = generate_city(CityConfig(seed=0))
+    geo, func = split_subgraphs(kg)
+    sub = {"geo": geo, "func": func, "blended": blended_subgraph(kg)}[side]
+    dst, src, rel = build_adjacency(sub)
+    assert_matches_stacked(dst, src, rel, sub.n_relations,
+                           sub.n_pois + sub.entity_count, d=32)
+
+
 def test_relational_spmm_rejects_mismatched_table():
-    mat, mat_t = stacked_from_edges(np.array([0]), np.array([1]), np.array([0]),
-                                    n_rel=5, n=2)
+    op = ad.RelationalOperator.from_edges(np.array([0]), np.array([1]),
+                                          np.array([0]), n_rel=5, n=2)
     with pytest.raises(ValueError):
-        ad.relational_spmm(mat, mat_t, np.ones((2, 3)), np.ones((11, 3)))
+        ad.relational_spmm(op, np.ones((2, 3)), np.ones((11, 3)))
 
 
 def test_softmax_grad():

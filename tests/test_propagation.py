@@ -244,12 +244,36 @@ def test_layer_takes_the_side_relation_table():
     kg, split, dims, params, bundle = random_setup(14)
     blend = pg.build_graphs(kg, split, blended=True)
     for graph, n_rel in ((bundle.geo, 5), (bundle.func, 11), (blend.geo, 16)):
-        assert graph.stacked.shape == (n_rel * graph.n_nodes, graph.n_nodes)
+        assert (graph.op.n_rel, graph.op.n) == (n_rel, graph.n_nodes)
+        assert len(graph.op.rel_ptr) == n_rel + 1
     X = ad.Tensor(params.E_g.data[split.n_users:])
     with pytest.raises(ValueError):
         bundle.geo.layer(X, params.R_f)
     with pytest.raises(ValueError):
         bundle.geo.layer(X, ad.Tensor(np.ones((16, dims.d))))
+
+
+@pytest.mark.parametrize("side", ["geo", "func", "blended"])
+def test_relational_operator_keeps_non_empty_rows_in_stacked_order(side):
+    kg, _, _ = generate_city(CityConfig(seed=0))
+    geo, func = ukg.split_subgraphs(kg)
+    sub = {"geo": geo, "func": func, "blended": ukg.blended_subgraph(kg)}[side]
+    dst, src, rel = ukg.build_adjacency(sub)
+    op = pg.PropagationGraph.from_subgraph(sub).op
+    n, m = op.n, op.rows.shape[0]
+    pairs = np.unique(np.stack([rel, dst], axis=1), axis=0)  # sorted (rel, dst)
+    assert m == len(pairs) == len(op.row_dst)
+    row_rel = np.repeat(np.arange(op.n_rel), np.diff(op.rel_ptr))
+    assert np.array_equal(np.stack([row_rel, op.row_dst], axis=1), pairs)
+    assert len(op.rel_ptr) == sub.n_relations + 1
+    assert op.rel_ptr[0] == 0 and op.rel_ptr[-1] == m
+    assert np.all(np.diff(op.rel_ptr) >= 0)
+    # one node more than the graph uses: it has no in-edge, so its row is 0
+    wide = ad.RelationalOperator.from_edges(dst, src, rel, op.n_rel, n + 1)
+    x = np.random.default_rng(0).normal(size=(n + 1, 4))
+    out = ad.relational_spmm(wide, x, np.ones((op.n_rel, 4))).data
+    assert np.array_equal(out[n], np.zeros(4))
+    assert np.all(np.abs(out[:n]).sum(axis=1) > 0)
 
 
 def test_training_tape_holds_no_per_edge_array():
