@@ -11,13 +11,15 @@ Modules
 autodiff        reverse-mode gradient tape over numpy arrays
 ukg             knowledge-graph schema, id-array triplet store, parsing,
                 adjacency edge arrays
-interactions    check-in matrix, chronology-free splits, negative sampling
+interactions    check-ins as a sorted id array, chronology-free splits,
+                negative sampling
 model           parameter container, initialization, checkpoint format
 propagation     intent-aware graph convolution layers
 counterfactual  score bundles and the debiased ranking rule
 training        losses, Adam, the fit loop, finite-difference gradcheck
-evaluation      full-ranking Recall/NDCG/AUC and the functional NDCG probe
-synthgen        synthetic city generator with a controllable location bias
+evaluation      full-ranking Recall/NDCG/AUC
+synthgen        synthetic city generator with a controllable location bias,
+                and the functional NDCG probe against its ground truth
 cli             command line entry points (gen | train | eval | ablate | gradcheck)
 """
 

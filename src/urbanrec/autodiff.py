@@ -97,9 +97,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -107,12 +104,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -201,16 +192,6 @@ def div(a, b) -> Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(out_data, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = astensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _node(-a.data, (a,), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -427,17 +408,6 @@ def softmax(a, axis=-1) -> Tensor:
         if a.requires_grad:
             inner = (g * y).sum(axis=axis, keepdims=True)
             a._accumulate(y * (g - inner))
-
-    return _node(y, (a,), bwd)
-
-
-def tanh(a) -> Tensor:
-    a = astensor(a)
-    y = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - y * y))
 
     return _node(y, (a,), bwd)
 

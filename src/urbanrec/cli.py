@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .propagation import build_graphs, dims_for, forward
 from .synthgen import (CityConfig, functional_ndcg, generate_city,
                        parse_ground_truth, serialize_ground_truth)
 from .training import HyperParams, fit, run_gradcheck
-from .ukg import parse_triplets, serialize_triplets, split_subgraphs
+from .ukg import parse_triplets, serialize_triplets
 
 
 class UsageError(ValueError):
@@ -50,66 +52,64 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_value(typ: str, raw: str):
-    if typ == "int":
-        return int(raw)
-    if typ == "float":
-        return float(raw)
-    if typ == "bool":
+def _parse_value(typ: type, raw: str):
+    if typ is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise UsageError(f"expected true/false, got {raw!r}")
-    return raw
+    return typ(raw)
 
 
-def _format_value(typ: str, value) -> str:
-    if typ == "bool":
+def _format_value(typ: type, value) -> str:
+    if typ is bool:
         return "true" if value else "false"
-    if typ == "float":
+    if typ is float:
         return repr(float(value))
     return str(value)
 
 
-GEN_KEYS = [
-    ("n_users", "int", 500), ("n_pois", "int", 2000),
-    ("n_regions", "int", 25), ("n_business_areas", "int", 50),
-    ("n_brands", "int", 200), ("n_cate1", "int", 8),
-    ("n_cate2", "int", 20), ("n_cate3", "int", 40),
-    ("latent_dim", "int", 8), ("geo_strength", "float", 1.0),
-    ("interactions_per_user", "int", 20), ("seed", "int", 0),
-]
+# The option type each parameter annotation reads as; an optional string is
+# a string option that stays None when unset.
+_OPTION_TYPES = {int: int, float: float, bool: bool, str: str, str | None: str}
 
-TRAIN_KEYS = [
-    ("d", "int", 32), ("n_intents", "int", 4), ("n_layers", "int", 3),
-    ("lr", "float", 1e-3), ("lam_ind", "float", 0.1),
-    ("lam_reg", "float", 1e-3), ("cf_weight", "float", 1.0),
-    ("batch_size", "int", 1024), ("beta1", "float", 0.9),
-    ("beta2", "float", 0.999), ("eps", "float", 1e-8),
-    ("patience", "int", 10), ("max_epochs", "int", 30),
-    ("train_ratio", "float", 0.8), ("val_ratio", "float", 0.1),
-    ("test_ratio", "float", 0.1), ("seed", "int", 0),
-    ("blended", "bool", False),
-]
 
-EVAL_KEYS = [
-    ("scorer", "str", "tie"), ("target", "str", "test"),
-    ("seed", "int", 0), ("split_seed", "int", 0),
-    ("train_ratio", "float", 0.8), ("val_ratio", "float", 0.1),
-    ("test_ratio", "float", 0.1),
-]
+def _options_of(consumer) -> list:
+    """(name, type, default) of every defaulted parameter of a function or
+    dataclass, read from its signature so that the consumer alone states
+    them."""
+    hints = typing.get_type_hints(consumer)
+    keys = []
+    for param in inspect.signature(consumer).parameters.values():
+        if param.default is param.empty:
+            continue
+        hint = hints.get(param.name)
+        if hint not in _OPTION_TYPES:
+            raise TypeError(f"{consumer.__qualname__}.{param.name}: no option "
+                            f"type for annotation {hint!r}")
+        keys.append((param.name, _OPTION_TYPES[hint], param.default))
+    return keys
 
-SPLIT_RATIOS = ("train_ratio", "val_ratio", "test_ratio")
 
-ABLATE_KEYS = TRAIN_KEYS + [("eval_seed", "int", 0),
-                            ("functional_fraction", "float", 0.05)]
+SPLIT_KEYS = [("train_ratio", float, 0.8), ("val_ratio", float, 0.1),
+              ("test_ratio", float, 0.1)]
+SPLIT_RATIOS = tuple(name for name, _, _ in SPLIT_KEYS)
 
-GRADCHECK_KEYS = [
-    ("seed", "int", 7), ("step", "float", 1e-4),
-    ("threshold", "float", 1e-4), ("corrupt", "str", ""),
-]
+GEN_KEYS = _options_of(CityConfig)
+DIMS_KEYS = _options_of(dims_for)
+HP_KEYS = _options_of(HyperParams)
+TRAIN_KEYS = DIMS_KEYS + HP_KEYS + SPLIT_KEYS + [("seed", int, 0)]
+EVAL_KEYS = [("scorer", str, "tie"), ("target", str, "test"),
+             ("seed", int, 0), ("split_seed", int, 0)] + SPLIT_KEYS
+ABLATE_KEYS = TRAIN_KEYS + [("eval_seed", int, 0),
+                            ("functional_fraction", float, 0.05)]
+GRADCHECK_KEYS = _options_of(run_gradcheck)
+
+
+def _pick(values: dict, keys) -> dict:
+    return {name: values[name] for name, _, _ in keys}
 
 
 def _read_config_file(path: str, keys) -> dict:
@@ -207,25 +207,15 @@ def _train_setup(data_dir: str, values: dict):
     ratios = tuple(values[key] for key in SPLIT_RATIOS)
     split = split_dataset(iset, ratios, values["seed"])
     bundle = build_graphs(kg, split, blended=values["blended"])
-    dims = dims_for(kg, split, d=values["d"], n_intents=values["n_intents"],
-                    n_layers=values["n_layers"], blended=values["blended"])
-    hp = HyperParams(
-        lam_ind=values["lam_ind"], lam_reg=values["lam_reg"],
-        cf_weight=values["cf_weight"], lr=values["lr"],
-        batch_size=values["batch_size"], beta1=values["beta1"],
-        beta2=values["beta2"], eps=values["eps"],
-        patience=values["patience"], max_epochs=values["max_epochs"])
-    return kg, split, bundle, dims, hp
+    dims = dims_for(kg, split, **_pick(values, DIMS_KEYS))
+    return kg, split, bundle, dims, HyperParams(**_pick(values, HP_KEYS))
 
 
-def _graph_record(kg, blended: bool) -> dict:
-    if blended:
-        geo_count = func_count = len(kg.triplets)
-    else:
-        geo, func = split_subgraphs(kg)
-        geo_count, func_count = len(geo.triplets), len(func.triplets)
-    return {"event": "graph", "blended": blended,
-            "geo_side_triplets": geo_count, "func_side_triplets": func_count,
+def _graph_record(kg, bundle) -> dict:
+    # every triplet enters its side's graph as two directed edges
+    return {"event": "graph", "blended": bundle.blended,
+            "geo_side_triplets": len(bundle.geo.src) // 2,
+            "func_side_triplets": len(bundle.func.src) // 2,
             "total_triplets": len(kg.triplets)}
 
 
@@ -240,7 +230,7 @@ def _run_training(kg, split, bundle, dims, hp, seed, log_path, ckpt_path,
                   label):
     params, log = fit(split, bundle, dims, hp, seed,
                       progress_fn=_progress_line(label))
-    records = [_graph_record(kg, bundle.blended)] + log
+    records = [_graph_record(kg, bundle)] + log
     lines = [json.dumps(r, sort_keys=True) for r in records]
     Path(log_path).write_text("\n".join(lines) + "\n")
     save_checkpoint(params, str(ckpt_path))
@@ -340,6 +330,15 @@ def _format_row(row: dict) -> str:
     return " ".join(f"{key}={value}" for key, value in row.items())
 
 
+# ablate's trained variants: (blended, label, [(row name, scorer)]).  The
+# no-counterfactual row removes counterfactual inference at ranking time:
+# the full model ranks by plain total effect instead of the debiased score.
+ABLATE_VARIANTS = (
+    (False, "full", [("full", "tie"), ("no_counterfactual", "te")]),
+    (True, "no_disentangle", [("no_disentangle", "tie")]),
+)
+
+
 def cmd_ablate(args) -> int:
     values = _resolve(args, ABLATE_KEYS)
     if values["blended"]:
@@ -347,31 +346,18 @@ def cmd_ablate(args) -> int:
     gt = _load_ground_truth(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fraction = values["functional_fraction"]
-    eval_seed = values["eval_seed"]
-
-    kg, split, bundle, dims, hp = _train_setup(args.data, values)
-    params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
-                              out / "train_log_full.jsonl",
-                              out / "full_checkpoint.bin", "full")
-    finals = forward(params, bundle)
-    rows = [
-        _ablation_row("full", "tie", finals, split, gt, eval_seed, fraction),
-        # counterfactual inference removed at ranking time: the same trained
-        # model ranks by plain total effect instead of the debiased score
-        _ablation_row("no_counterfactual", "te", finals, split, gt,
-                      eval_seed, fraction),
-    ]
-
-    blended_values = dict(values, blended=True)
-    kg, split, bundle, dims, hp = _train_setup(args.data, blended_values)
-    params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
-                              out / "train_log_no_disentangle.jsonl",
-                              out / "no_disentangle_checkpoint.bin",
-                              "no_disentangle")
-    finals = forward(params, bundle)
-    rows.append(_ablation_row("no_disentangle", "tie", finals, split, gt,
-                              eval_seed, fraction))
+    rows = []
+    for blended, label, scored in ABLATE_VARIANTS:
+        kg, split, bundle, dims, hp = _train_setup(
+            args.data, dict(values, blended=blended))
+        params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
+                                  out / f"train_log_{label}.jsonl",
+                                  out / f"{label}_checkpoint.bin", label)
+        finals = forward(params, bundle)
+        rows += [_ablation_row(name, scorer, finals, split, gt,
+                               values["eval_seed"],
+                               values["functional_fraction"])
+                 for name, scorer in scored]
 
     lines = [_format_row(r) for r in rows]
     (out / "ablation.txt").write_text("\n".join(lines) + "\n")
@@ -383,9 +369,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     values = _resolve(args, GRADCHECK_KEYS)
-    report = run_gradcheck(step=values["step"], threshold=values["threshold"],
-                           corrupt=values["corrupt"] or None,
-                           seed=values["seed"])
+    values["corrupt"] = values["corrupt"] or None  # an empty name is unset
+    report = run_gradcheck(**values)
     print("\n".join(report.lines()))
     return 0  # a FAIL verdict is a report outcome, not a command failure
 

@@ -93,11 +93,6 @@ class ModelParams:
               for n, t in self.named_tensors()}
         return ModelParams(self.dims, blended=self.blended, **ts)
 
-    def check_finite(self) -> None:
-        for name, t in self.named_tensors():
-            if not np.all(np.isfinite(t.data)):
-                raise ValueError(f"non-finite values in {name}")
-
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (rows + cols))

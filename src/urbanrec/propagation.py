@@ -77,6 +77,15 @@ class GraphBundle:
     blended: bool = False
 
 
+def side_subgraphs(kg: UrbanKG, blended: bool = False) -> tuple[SubGraph, SubGraph]:
+    """The (geographical, functional) subgraphs the two sides propagate over:
+    the split pair, or with ``blended`` the full 16-relation graph on both."""
+    if blended:
+        sub = blended_subgraph(kg)
+        return sub, sub
+    return split_subgraphs(kg)
+
+
 def build_graphs(kg: UrbanKG, split: DatasetSplit,
                  blended: bool = False) -> GraphBundle:
     """Index the KG (split or blended) and the training interactions.
@@ -88,10 +97,9 @@ def build_graphs(kg: UrbanKG, split: DatasetSplit,
     if kg.n_pois != split.n_pois:
         raise ValueError(
             f"kg has {kg.n_pois} POIs but interactions have {split.n_pois}")
-    if blended:
-        geo = func = PropagationGraph.from_subgraph(blended_subgraph(kg))
-    else:
-        geo, func = map(PropagationGraph.from_subgraph, split_subgraphs(kg))
+    geo_sub, func_sub = side_subgraphs(kg, blended)
+    geo = PropagationGraph.from_subgraph(geo_sub)
+    func = geo if func_sub is geo_sub else PropagationGraph.from_subgraph(func_sub)
     user_agg, user_agg_t = _user_aggregation(split)
     return GraphBundle(geo, func, user_agg, user_agg_t,
                        split.n_users, split.n_pois, blended)
@@ -100,17 +108,11 @@ def build_graphs(kg: UrbanKG, split: DatasetSplit,
 def dims_for(kg: UrbanKG, split: DatasetSplit, d: int = 32, n_intents: int = 4,
              n_layers: int = 3, blended: bool = False) -> ModelDims:
     """Model dimensions implied by a dataset and the chosen layout."""
-    geo_sub, func_sub = split_subgraphs(kg)
-    if blended:
-        total = geo_sub.entity_count + func_sub.entity_count
-        return ModelDims(split.n_users, split.n_pois, total, total, d=d,
-                         n_geo_relations=16, n_func_relations=16,
-                         n_intents_geo=n_intents, n_intents_func=n_intents,
-                         n_layers=n_layers)
-    return ModelDims(split.n_users, split.n_pois,
-                     geo_sub.entity_count, func_sub.entity_count, d=d,
-                     n_intents_geo=n_intents, n_intents_func=n_intents,
-                     n_layers=n_layers)
+    geo, func = side_subgraphs(kg, blended)
+    return ModelDims(split.n_users, split.n_pois, geo.entity_count,
+                     func.entity_count, d=d, n_geo_relations=geo.n_relations,
+                     n_func_relations=func.n_relations, n_intents_geo=n_intents,
+                     n_intents_func=n_intents, n_layers=n_layers)
 
 
 @dataclass

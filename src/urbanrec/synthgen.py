@@ -233,11 +233,9 @@ def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth
         np.random.SeedSequence([cfg.seed, HOME_STREAM]))
     home = home_rng.integers(0, cfg.n_regions, size=cfg.n_users)
 
-    side = region_grid_side(cfg.n_regions)
-    prox = np.empty((cfg.n_regions, cfg.n_regions))
-    for a in range(cfg.n_regions):
-        for b in range(cfg.n_regions):
-            prox[a, b] = proximity(region_distance(a, b, side))
+    regions = np.arange(cfg.n_regions)
+    prox = proximity(region_distance(regions[:, None], regions[None, :],
+                                     region_grid_side(cfg.n_regions)))
 
     k = cfg.interactions_per_user
     pois = np.empty((cfg.n_users, k), dtype=np.int64)
@@ -302,29 +300,49 @@ def serialize_ground_truth(gt: GroundTruth) -> str:
 
 
 def parse_ground_truth(text: str) -> GroundTruth:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#city "):
+    """Read a serialized ground truth; a missing, repeated or malformed
+    record raises ValueError naming it."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or not lines[0][1].startswith("#city "):
         raise ValueError("ground truth file must start with a #city header")
     kwargs = {}
-    for item in lines[0][len("#city "):].split():
+    for item in lines[0][1][len("#city "):].split():
         key, _, val = item.partition("=")
         kwargs[key] = float(val) if key == "geo_strength" else int(val)
     cfg = CityConfig(**kwargs)
-    taste = np.zeros((cfg.n_users, cfg.latent_dim))
-    attr = np.zeros((cfg.n_pois, cfg.latent_dim))
-    home = np.zeros(cfg.n_users, dtype=np.int64)
-    poi_region = np.zeros(cfg.n_pois, dtype=np.int64)
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind, idx = parts[0], int(parts[1])
-        if kind == "taste":
-            taste[idx] = [float(v) for v in parts[2:]]
-        elif kind == "attr":
-            attr[idx] = [float(v) for v in parts[2:]]
-        elif kind == "home":
-            home[idx] = int(parts[2])
-        elif kind == "poi_region":
-            poi_region[idx] = int(parts[2])
-        else:
-            raise ValueError(f"unknown ground truth record {kind!r}")
-    return GroundTruth(cfg, taste, attr, home, poi_region)
+    records = {"taste": np.zeros((cfg.n_users, cfg.latent_dim)),
+               "attr": np.zeros((cfg.n_pois, cfg.latent_dim)),
+               "home": np.zeros(cfg.n_users, dtype=np.int64),
+               "poi_region": np.zeros(cfg.n_pois, dtype=np.int64)}
+    seen = {kind: np.zeros(len(arr), dtype=bool) for kind, arr in records.items()}
+    for no, ln in lines[1:]:
+        try:
+            kind, idx, *values = ln.split()
+            if kind not in records:
+                raise ValueError(f"unknown ground truth record {kind!r}")
+            arr, idx = records[kind], int(idx)
+            width = cfg.latent_dim if arr.ndim == 2 else 1
+            if len(values) != width:
+                raise ValueError(f"expected {width} value(s), got {len(values)}")
+            if not 0 <= idx < len(arr):
+                raise ValueError(f"{kind} id {idx} out of range")
+            if seen[kind][idx]:
+                raise ValueError(f"second {kind} record for id {idx}")
+            seen[kind][idx] = True
+            if arr.ndim == 2:
+                arr[idx] = [float(v) for v in values]
+            else:
+                region = int(values[0])
+                if not 0 <= region < cfg.n_regions:
+                    raise ValueError(f"region {region} out of range")
+                arr[idx] = region
+        except ValueError as exc:
+            raise ValueError(f"ground truth line {no} ({ln.strip()!r}): {exc}") \
+                from None
+    for kind, found in seen.items():
+        if not found.all():
+            raise ValueError(f"ground truth has no {kind} record for id "
+                             f"{np.argmin(found)}")
+    return GroundTruth(cfg, records["taste"], records["attr"], records["home"],
+                       records["poi_region"])

@@ -3,6 +3,7 @@ determinism, config precedence, and error reporting."""
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -347,3 +348,81 @@ def test_train_and_ablate_report_progress_on_stderr(tmp_path, capsys):
     assert [ln.split()[0] for ln in captured.err.splitlines()] \
         == ["full", "full", "no_disentangle", "no_disentangle"]
     assert len(captured.out.splitlines()) == 3
+
+
+TRAIN_ECHO = ("batch_size=64\nbeta1=0.9\nbeta2=0.999\nblended=false\n"
+              "cf_weight=1.0\nd=6\neps=1e-08\n{extra}lam_ind=0.1\n"
+              "lam_reg=0.001\nlr=0.001\nmax_epochs=2\nn_intents=4\nn_layers=2\n"
+              "patience=10\nseed=0\ntest_ratio=0.1\ntrain_ratio=0.8\n"
+              "val_ratio=0.1\n")
+HELP_DEFAULTS = {
+    "gen": {"n-users": "500", "n-pois": "2000", "n-regions": "25",
+            "n-business-areas": "50", "n-brands": "200", "n-cate1": "8",
+            "n-cate2": "20", "n-cate3": "40", "latent-dim": "8",
+            "geo-strength": "1.0", "interactions-per-user": "20", "seed": "0"},
+    "train": {"d": "32", "n-intents": "4", "n-layers": "3", "lr": "0.001",
+              "lam-ind": "0.1", "lam-reg": "0.001", "cf-weight": "1.0",
+              "batch-size": "1024", "beta1": "0.9", "beta2": "0.999",
+              "eps": "1e-08", "patience": "10", "max-epochs": "30",
+              "train-ratio": "0.8", "val-ratio": "0.1", "test-ratio": "0.1",
+              "seed": "0", "blended": "False"},
+    "eval": {"scorer": "tie", "target": "test", "seed": "0", "split-seed": "0",
+             "train-ratio": "0.8", "val-ratio": "0.1", "test-ratio": "0.1"},
+    # --corrupt is unset by default (test_gradcheck_passes runs it unset)
+    "gradcheck": {"seed": "7", "step": "0.0001", "threshold": "0.0001"},
+}
+HELP_DEFAULTS["ablate"] = {**HELP_DEFAULTS["train"], "eval-seed": "0",
+                           "functional-fraction": "0.05"}
+HELP_OTHER_FLAGS = {"gen": {"out"}, "train": {"data", "out"},
+                    "eval": {"data", "checkpoint", "out"},
+                    "ablate": {"data", "out"}, "gradcheck": {"corrupt"}}
+
+
+def test_cli_surface_is_pinned(tmp_path, capsys, monkeypatch):
+    # every option's name, type and default, as the echo files and --help
+    # show them: moving where a default is stated must change none of them
+    gen_city(tmp_path / "city")
+    assert (tmp_path / "city" / "gen.config").read_text() == (
+        "geo_strength=1.0\ninteractions_per_user=6\nlatent_dim=8\n"
+        "n_brands=12\nn_business_areas=8\nn_cate1=2\nn_cate2=4\nn_cate3=8\n"
+        "n_pois=60\nn_regions=4\nn_users=24\nseed=2\n")
+    train(tmp_path / "city", tmp_path / "run")
+    assert (tmp_path / "run" / "train.config").read_text() \
+        == TRAIN_ECHO.format(extra="")
+    assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
+               str(tmp_path / "run" / "checkpoint.bin")) == 0
+    assert (tmp_path / "run" / "metrics_tie_test.json.config").read_text() == (
+        "scorer=tie\nseed=0\nsplit_seed=0\ntarget=test\ntest_ratio=0.1\n"
+        "train_ratio=0.8\nval_ratio=0.1\n")
+    assert run("ablate", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS) == 0
+    assert (tmp_path / "abl" / "ablate.config").read_text() == TRAIN_ECHO.format(
+        extra="eval_seed=0\nfunctional_fraction=0.05\n")
+
+    monkeypatch.setenv("COLUMNS", "200")
+    for command, defaults in HELP_DEFAULTS.items():
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        text = capsys.readouterr().out
+        shown = dict(re.findall(r"--([a-z0-9-]+) V\s+default (\S+)", text))
+        shown.pop("corrupt", None)
+        assert shown == defaults
+        assert set(re.findall(r"--([a-z0-9-]+)", text)) \
+            == set(defaults) | HELP_OTHER_FLAGS[command] | {"help", "config"}
+
+
+def test_options_come_from_consumer_signatures():
+    def consumer(data, scale: float = 0.5, name: str | None = None,
+                 flag: bool = True):
+        pass
+
+    assert cli._options_of(consumer) == [
+        ("scale", float, 0.5), ("name", str, None), ("flag", bool, True)]
+
+    def untyped(data, ids: list | None = None):
+        pass
+
+    # a parameter with no command-line reading fails when the table is built
+    with pytest.raises(TypeError, match="untyped.ids"):
+        cli._options_of(untyped)

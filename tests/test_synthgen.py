@@ -2,6 +2,7 @@
 functional ranking oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,3 +301,49 @@ def test_functional_ndcg_empty_users_rejected():
     _, _, gt = small_city()
     with pytest.raises(ValueError):
         sg.functional_ndcg({}, gt, k=10)
+
+
+def _damaged_ground_truth(damage):
+    # the command-line tests' city: 24 users x 60 POIs over 4 regions
+    _, _, gt = sg.generate_city(sg.CityConfig(
+        n_users=24, n_pois=60, n_regions=4, n_business_areas=8, n_brands=12,
+        n_cate1=2, n_cate2=4, n_cate3=8, interactions_per_user=6, seed=2))
+    return damage(sg.serialize_ground_truth(gt).splitlines())
+
+
+def _drop(*prefixes):
+    return lambda lines: [ln for ln in lines
+                          if not ln.startswith(tuple(p + " " for p in prefixes))]
+
+
+def _edit(prefix, edit):
+    return lambda lines: [edit(ln) if ln.startswith(prefix + " ") else ln
+                          for ln in lines]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop("taste 5", "attr 7"), "no taste record for id 5"),
+    (_drop("attr 7"), "no attr record for id 7"),
+    (_drop("poi_region 59"), "no poi_region record for id 59"),
+    (_edit("home 3", lambda ln: ln + " 1"), "expected 1 value(s), got 2"),
+    (lambda lines: lines + [next(ln for ln in lines if ln.startswith("taste 0 "))],
+     "second taste record for id 0"),
+    (_edit("taste 2", lambda ln: ln.rsplit(" ", 1)[0]), "expected 8 value(s), got 7"),
+    (_edit("attr 4", lambda ln: ln + " 0.5"), "expected 8 value(s), got 9"),
+    (_edit("home 1", lambda ln: "home 1 4"), "region 4 out of range"),
+    (_edit("poi_region 9", lambda ln: "poi_region 9 -1"), "region -1 out of range"),
+    (lambda lines: lines + ["home 24 0"], "home id 24 out of range"),
+    (lambda lines: lines + ["attr -1" + " 0.0" * 8], "attr id -1 out of range"),
+    (_edit("taste 1", lambda ln: ln.replace(" ", " x", 2)), "invalid literal"),
+], ids=["missing-taste-and-attr", "missing-attr", "missing-poi-region",
+        "home-extra-field", "repeated-taste", "short-vector", "long-vector",
+        "home-region-range", "poi-region-range", "user-id-range",
+        "poi-id-range", "bad-number"])
+def test_ground_truth_parse_rejects_damaged_records(damage, message):
+    lines = _damaged_ground_truth(damage)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        sg.parse_ground_truth("\n".join(lines) + "\n")
+    # one line of message, naming the offending line when there is one
+    assert "\n" not in str(info.value)
+    if not message.startswith("no "):
+        assert "ground truth line" in str(info.value)
