@@ -1,6 +1,7 @@
 """Synthetic city tests: schema, determinism, the confounder dial, and the
 functional ranking oracle."""
 
+import hashlib
 import math
 import re
 
@@ -135,6 +136,47 @@ def test_determinism_byte_identical():
     assert ukg.serialize_triplets(kg1) == ukg.serialize_triplets(kg2)
     assert serialize_checkins(i1) == serialize_checkins(i2)
     assert sg.serialize_ground_truth(g1) == sg.serialize_ground_truth(g2)
+
+
+CLI_CITY = dict(n_users=24, n_pois=60, n_regions=4, n_business_areas=8,
+                n_brands=12, n_cate1=2, n_cate2=4, n_cate3=8,
+                interactions_per_user=6, seed=2)
+
+# sha256 of serialize_triplets, serialize_checkins and serialize_ground_truth,
+# recorded from the plain full-catalog check-in draw: a faster draw must
+# reproduce every city byte for byte
+PINNED_CITIES = {
+    "small": (SMALL, (
+        "58de26d35a3cd78e8d6da55552ddd9c02ed377f27b499f8d7c4b1de096ab4b13",
+        "ce39cf502b2fafa29dce0ced8217410ee962b1eaf364fda555a10304c727c7a5",
+        "71024f1b469a4adb698f8b3d70e316aa0940dbfabbdb4726a9f7ecdd94a01906")),
+    "cli": (CLI_CITY, (
+        "bd92d351eff9544f1623ddde670b697dff37fd6469c3be581931faec1e19eb34",
+        "611eaf5cf6c0ba71c3e6ac2ce127d6d6ba37881dbc416a2cfcdc5471dba5b6a5",
+        "eb3a97d9e7b2be7a3a7e428f2556759bd91a28a11781f88189616291ced3a60d")),
+    "default-geo5": (dict(geo_strength=5.0), (
+        "d57405382fed0f60baa5efb6ec1d4c05e60c2edf36757ebf83df3de485d7cad3",
+        "5f8d0ac59ef7ca0012c49d4d47babc010d20ea074e9ccbce85858b3ee86eae05",
+        "2ef71395194f9977d1449e912fcebb244196ad5f5c6e2dd4d665e026a59c8b2e")),
+    "default-geo0-seed2": (dict(geo_strength=0.0, seed=2), (
+        "003317b79deadf8505d715afd29eb8e7955fcf8387aaae2356fcee30f5727ad3",
+        "025018ab9281834ceeca9e36468accf06ef80ba2e9584d96692eff0876221e7d",
+        "9a478fad721c1059040a8853b7a85c8a82e68d0cb5402f33545f85040e45f406")),
+    "every-poi": (dict(SMALL, interactions_per_user=120), (
+        "58de26d35a3cd78e8d6da55552ddd9c02ed377f27b499f8d7c4b1de096ab4b13",
+        "7070deef858d66a0ed9a8b9933da53c508d27e5479abb041906037ae9fc8edf2",
+        "0edeb91e1f62211c3a68f03f943e7fd23369f868dbe376de405cd9d4a7274112")),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CITIES)
+def test_generated_bytes_are_pinned(name):
+    from urbanrec.interactions import serialize_checkins
+    config, digests = PINNED_CITIES[name]
+    kg, iset, gt = sg.generate_city(sg.CityConfig(**config))
+    texts = (ukg.serialize_triplets(kg), serialize_checkins(iset),
+             sg.serialize_ground_truth(gt))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == digests
 
 
 def test_different_seed_different_city():
