@@ -10,7 +10,9 @@ a venue-specific term, so the functional side of the KG genuinely encodes
 taste-relevant structure.  A
 geo_strength dial adds a proximity term between each user's home region and
 the POI's region to the check-in propensity: at 0 visits depend only on
-functional match, and as it grows check-ins concentrate near home.  Knowing
+functional match, and as it grows check-ins concentrate near home.  Each
+user's check-ins are an exact pruned Gumbel top-k draw over the catalog
+(see generate_city).  Knowing
 the true taste vectors lets tests measure how well a scorer recovers
 functional preference independently of geography.
 """
@@ -186,12 +188,63 @@ def _kg_triplets(cfg: CityConfig, ba_region, poi_ba, poi_region, poi_brand,
     ])
 
 
+def _log_sigmoid(w: np.ndarray) -> np.ndarray:
+    return -np.logaddexp(0.0, -w)
+
+
+def _gumbel_noise(r: np.ndarray) -> np.ndarray:
+    """Generator.gumbel's value for each nonzero uniform r, bit for bit: it
+    computes 0 - 1 * log(-log(1 - r)) with libm's log, which math.log calls
+    and numpy's log does not."""
+    return np.array([0.0 - math.log(-math.log(1.0 - x)) for x in r.tolist()])
+
+
+def _gumbel_top_k(w: np.ndarray, k: int, fresh_rng) -> np.ndarray:
+    """The k ids with the largest keys _log_sigmoid(w) + fresh_rng().gumbel(
+    size=len(w)), in no particular order: k draws without replacement in
+    proportion to sigmoid(w).  ``fresh_rng`` returns a generator at the
+    start of the same stream on every call.
+
+    Only ids that can reach the top k need their exact key.  gumbel turns
+    each uniform r into -log(-log(1 - r)), and log sigmoid(w) lies in
+    [min(w, 0) - ln 2, min(w, 0)], so a vectorised upper bound on every key
+    rules out all but a few dozen ids, whose exact keys come from
+    _gumbel_noise.  Where pruning cannot be shown exact the whole catalog is
+    keyed instead: k == len(w), a zero uniform (which gumbel rejects and
+    redraws), or a tie at the k-th key.
+    """
+    n = len(w)
+    if k < n:
+        r = fresh_rng().random(n)
+        if r.all():
+            neg_noise = np.log(-np.log(1.0 - r))
+            bound = np.minimum(w, 0.0) - neg_noise
+            kth = np.partition(bound, n - k)[n - k]
+            # numpy's vectorised log is a few ulp off libm's; a relative
+            # slack covers that and every rounding in the keys
+            tol = 1e-9 * (1.0 + np.abs(w).max() + np.abs(neg_noise).max())
+            cand = np.flatnonzero(bound >= kth - math.log(2.0) - tol)
+            if len(cand) == k:
+                return cand
+            keys = _log_sigmoid(w[cand]) + _gumbel_noise(r[cand])
+            desc = np.sort(keys)[::-1]
+            if desc[k - 1] > desc[k]:
+                return cand[keys > desc[k]]
+    keys = _log_sigmoid(w) + fresh_rng().gumbel(size=n)
+    return np.argpartition(-keys, k - 1)[:k]
+
+
 def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth]:
     """Build the KG, sample check-ins, and return the generative ground truth.
 
     Check-in propensity for user u and POI p is sigmoid(affinity + gamma *
-    proximity); POIs are drawn without replacement in proportion to it via
-    perturbed log-weight top-k, one derived rng stream per user.
+    proximity); POIs are drawn without replacement in proportion to it as
+    the top k of log-weight + Gumbel keys, one derived rng stream per user.
+    The draw is an exact pruned Gumbel top-k (_gumbel_top_k): it computes
+    exact keys only for the POIs whose key bound can reach the top k, and
+    picks the same POIs as keying the full catalog.  A user whose draw holds
+    a zero uniform, or whose k-th key is tied, and every user when
+    interactions_per_user == n_pois, take the full-catalog path.
     """
     # latent scale keeps taste . attr at unit order for any latent_dim
     scale = cfg.latent_dim ** -0.25
@@ -236,16 +289,14 @@ def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth
     regions = np.arange(cfg.n_regions)
     prox = proximity(region_distance(regions[:, None], regions[None, :],
                                      region_grid_side(cfg.n_regions)))
+    geo = cfg.geo_strength * prox[:, poi_region]  # home region x POI
 
     k = cfg.interactions_per_user
     pois = np.empty((cfg.n_users, k), dtype=np.int64)
     for u in range(cfg.n_users):
-        w = taste[u] @ attr.T + cfg.geo_strength * prox[home[u], poi_region]
-        log_weight = -np.logaddexp(0.0, -w)  # log sigmoid(w)
-        u_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, INTERACT_STREAM, u]))
-        keys = log_weight + u_rng.gumbel(size=cfg.n_pois)
-        pois[u] = np.argpartition(-keys, k - 1)[:k]
+        w = taste[u] @ attr.T + geo[home[u]]
+        stream = np.random.SeedSequence([cfg.seed, INTERACT_STREAM, u])
+        pois[u] = _gumbel_top_k(w, k, lambda: np.random.default_rng(stream))
 
     ids = np.column_stack([np.repeat(np.arange(cfg.n_users), k), pois.ravel()])
     iset = InteractionSet(cfg.n_users, cfg.n_pois, ids)
@@ -301,15 +352,26 @@ def serialize_ground_truth(gt: GroundTruth) -> str:
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """Read a serialized ground truth; a missing, repeated or malformed
-    record raises ValueError naming it."""
+    record, or a header without exactly the CityConfig fields, raises
+    ValueError naming it."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
     if not lines or not lines[0][1].startswith("#city "):
         raise ValueError("ground truth file must start with a #city header")
+    header = lines[0][1].strip()
+    kinds = {f.name: type(f.default) for f in dc_fields(CityConfig)}
     kwargs = {}
-    for item in lines[0][1][len("#city "):].split():
-        key, _, val = item.partition("=")
-        kwargs[key] = float(val) if key == "geo_strength" else int(val)
+    try:
+        for item in header[len("#city "):].split():
+            key, _, val = item.partition("=")
+            if key not in kinds or key in kwargs:
+                raise ValueError(f"unknown or repeated key {key!r}")
+            kwargs[key] = kinds[key](val)
+        missing = [key for key in kinds if key not in kwargs]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
+    except ValueError as exc:
+        raise ValueError(f"ground truth header {header!r}: {exc}") from None
     cfg = CityConfig(**kwargs)
     records = {"taste": np.zeros((cfg.n_users, cfg.latent_dim)),
                "attr": np.zeros((cfg.n_pois, cfg.latent_dim)),

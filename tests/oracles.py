@@ -6,6 +6,8 @@ reference for the vectorized implementations in the package.  Do not import
 package internals beyond plain data containers.
 """
 
+import math
+
 import numpy as np
 
 
@@ -96,6 +98,34 @@ def naive_propagation(E, S, R, triplets, train_pois, n_users, n_layers):
         U, X = U_next, X_next
         states.append((U.copy(), X.copy()))
     return states
+
+
+# -- check-in draw -----------------------------------------------------------------
+
+
+def naive_checkins(gt, stream: int) -> np.ndarray:
+    """Sorted (user, poi) check-in rows of a generated city, keyed over the
+    whole catalog: user u takes the k POIs with the largest
+    log sigmoid(w) + Generator.gumbel keys, where w = taste . attr +
+    geo_strength * proximity(home, POI region) and the noise comes from
+    SeedSequence([seed, stream, u])."""
+    cfg = gt.config
+    side = math.ceil(math.sqrt(cfg.n_regions))
+    prox = np.empty((cfg.n_regions, cfg.n_regions))
+    for a in range(cfg.n_regions):
+        for b in range(cfg.n_regions):
+            d = abs(a // side - b // side) + abs(a % side - b % side)
+            prox[a, b] = -2.0 * d / (d + 1.0)
+    k = cfg.interactions_per_user
+    rows = []
+    for u in range(cfg.n_users):
+        w = gt.taste[u] @ gt.attr.T \
+            + cfg.geo_strength * prox[gt.home_region[u], gt.poi_region]
+        log_weight = -np.logaddexp(0.0, -w)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream, u]))
+        keys = log_weight + rng.gumbel(size=cfg.n_pois)
+        rows += [(u, p) for p in sorted(np.argpartition(-keys, k - 1)[:k].tolist())]
+    return np.array(rows, dtype=np.int64)
 
 
 # -- negative sampling -----------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from urbanrec import synthgen as sg
 from urbanrec import ukg
+from urbanrec.interactions import serialize_checkins
 
 
 SMALL = dict(n_users=40, n_pois=120, n_regions=9, n_business_areas=12,
@@ -132,12 +133,12 @@ def test_interaction_counts():
 def test_determinism_byte_identical():
     kg1, i1, g1 = small_city(seed=5)
     kg2, i2, g2 = small_city(seed=5)
-    from urbanrec.interactions import serialize_checkins
     assert ukg.serialize_triplets(kg1) == ukg.serialize_triplets(kg2)
     assert serialize_checkins(i1) == serialize_checkins(i2)
     assert sg.serialize_ground_truth(g1) == sg.serialize_ground_truth(g2)
 
 
+# the command-line tests' city: 24 users x 60 POIs over 4 regions
 CLI_CITY = dict(n_users=24, n_pois=60, n_regions=4, n_business_areas=8,
                 n_brands=12, n_cate1=2, n_cate2=4, n_cate3=8,
                 interactions_per_user=6, seed=2)
@@ -171,7 +172,6 @@ PINNED_CITIES = {
 
 @pytest.mark.parametrize("name", PINNED_CITIES)
 def test_generated_bytes_are_pinned(name):
-    from urbanrec.interactions import serialize_checkins
     config, digests = PINNED_CITIES[name]
     kg, iset, gt = sg.generate_city(sg.CityConfig(**config))
     texts = (ukg.serialize_triplets(kg), serialize_checkins(iset),
@@ -233,6 +233,87 @@ def test_gamma_zero_selection_is_pure_functional():
         keys = -np.logaddexp(0.0, -w) + rng.gumbel(size=cfg.n_pois)
         want = set(np.argsort(-keys)[:cfg.interactions_per_user].tolist())
         assert set(iset.user_pois(u).tolist()) == want
+
+
+@pytest.mark.parametrize("config", [
+    dict(SMALL, interactions_per_user=1),
+    dict(SMALL, interactions_per_user=119, seed=3),
+    dict(SMALL, interactions_per_user=120, seed=1),
+    dict(SMALL, geo_strength=0.0, seed=2),
+    dict(SMALL, geo_strength=50.0, seed=5),
+    dict(SMALL, geo_strength=8.0, seed=6, latent_dim=32),
+    dict(CLI_CITY),
+    dict(n_users=60, geo_strength=5.0, seed=1),
+    dict(n_users=60, geo_strength=50.0, seed=7, interactions_per_user=1),
+], ids=["k=1", "k=n-1", "k=n", "geo0", "geo50", "geo8-dim32", "cli",
+        "default-pois-geo5", "default-pois-geo50-k1"])
+def test_checkins_match_full_catalog_oracle(config):
+    _, iset, gt = sg.generate_city(sg.CityConfig(**config))
+    assert np.array_equal(iset.ids, oracles.naive_checkins(gt, sg.INTERACT_STREAM))
+
+
+def test_gumbel_noise_is_bit_equal_to_generator_gumbel():
+    r = np.random.default_rng(9).random(20000)
+    assert np.array_equal(sg._gumbel_noise(r),
+                          np.random.default_rng(9).gumbel(size=20000))
+
+
+def full_catalog_top_k(w, k, fresh_rng) -> set:
+    keys = -np.logaddexp(0.0, -w) + fresh_rng().gumbel(size=len(w))
+    return set(np.argpartition(-keys, k - 1)[:k].tolist())
+
+
+def rng_drawing_zero_first():
+    """A PCG64 generator whose first uniform double is exactly 0.0.  PCG64
+    steps its 128-bit state by a multiply-add and outputs the rotated xor of
+    the two halves, so a state that steps to equal halves outputs 0."""
+    mult, mod = 0x2360ED051FC65DA44385DF649FCCF645, 2 ** 128
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    stepped = (5 << 64) | 5
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": (stepped - inc) * pow(mult, -1, mod) % mod,
+                            "inc": inc}}
+    return np.random.Generator(bits)
+
+
+def test_draw_keys_the_full_catalog_after_a_zero_uniform():
+    assert rng_drawing_zero_first().random() == 0.0
+    w = np.random.default_rng(0).normal(size=300)
+    # gumbel rejects the zero and redraws, so POI 0 gets the next uniform's
+    # noise; a pruned draw that kept the zero would give it an infinite key
+    w[0] = -100.0
+    got = sg._gumbel_top_k(w, 5, rng_drawing_zero_first)
+    assert len(got) == 5 and 0 not in got
+    assert set(got.tolist()) == full_catalog_top_k(w, 5, rng_drawing_zero_first)
+
+
+def test_draw_keys_the_full_catalog_on_a_tie_at_the_kth_key():
+    n, k = 50, 2
+    fresh = lambda: np.random.default_rng(3)
+    assert fresh().random(n).all()
+    g = fresh().gumbel(size=n)
+    top, c, b = np.argsort(-g)[:3]
+    w = np.full(n, -60.0)
+    w[top] = 60.0  # a clear first place
+    w[b] = 0.0
+    tied = sg._log_sigmoid(w[b:b + 1])[0] + g[b]
+    # search for the weight that gives c the same key exactly: near the
+    # solution one ulp of w moves the key by less than one ulp of the key
+    y = tied - g[c]
+    wc = y - math.log1p(-math.exp(y))
+    for _ in range(100):
+        key = sg._log_sigmoid(np.array([wc]))[0] + g[c]
+        if key == tied:
+            break
+        wc = np.nextafter(wc, np.inf if key < tied else -np.inf)
+    w[c] = wc
+    keys = sg._log_sigmoid(w) + g
+    desc = np.sort(keys)[::-1]
+    assert desc[0] > desc[1] == desc[2] > desc[3]  # the k-th key is tied
+    got = sg._gumbel_top_k(w, k, fresh)
+    assert len(got) == k
+    assert set(got.tolist()) == full_catalog_top_k(w, k, fresh)
 
 
 def test_proximity_deficit_form():
@@ -339,6 +420,37 @@ def test_functional_ndcg_matches_naive_oracle():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def _edit_header(edit):
+    return lambda lines: [edit(lines[0])] + lines[1:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_edit_header(lambda h: h.replace(" latent_dim=8", "")), "missing latent_dim"),
+    (_edit_header(lambda h: h.replace(" seed=2", "")), "missing seed"),
+    (_edit_header(lambda h: h + " colour=3"), "unknown or repeated key 'colour'"),
+    (_edit_header(lambda h: h + " seed=2"), "unknown or repeated key 'seed'"),
+    (_edit_header(lambda h: h.replace("n_pois=60", "n_pois=sixty")),
+     "invalid literal for int() with base 10: 'sixty'"),
+    (_edit_header(lambda h: h.replace("geo_strength=1.0", "geo_strength=")),
+     "could not convert string to float: ''"),
+], ids=["missing-latent-dim", "missing-seed", "unknown-key", "repeated-key",
+        "int-not-a-number", "float-not-a-number"])
+def test_ground_truth_parse_rejects_damaged_header(damage, message):
+    lines = _damaged_ground_truth(damage)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        sg.parse_ground_truth("\n".join(lines) + "\n")
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"ground truth header {lines[0]!r}: ")
+
+
+def test_ground_truth_parse_reads_the_cli_city_back():
+    _, _, gt = sg.generate_city(sg.CityConfig(**CLI_CITY))
+    back = sg.parse_ground_truth(sg.serialize_ground_truth(gt))
+    assert back.config == gt.config
+    for name in ("taste", "attr", "home_region", "poi_region"):
+        assert np.array_equal(getattr(back, name), getattr(gt, name))
+
+
 def test_functional_ndcg_empty_users_rejected():
     _, _, gt = small_city()
     with pytest.raises(ValueError):
@@ -346,10 +458,7 @@ def test_functional_ndcg_empty_users_rejected():
 
 
 def _damaged_ground_truth(damage):
-    # the command-line tests' city: 24 users x 60 POIs over 4 regions
-    _, _, gt = sg.generate_city(sg.CityConfig(
-        n_users=24, n_pois=60, n_regions=4, n_business_areas=8, n_brands=12,
-        n_cate1=2, n_cate2=4, n_cate3=8, interactions_per_user=6, seed=2))
+    _, _, gt = sg.generate_city(sg.CityConfig(**CLI_CITY))
     return damage(sg.serialize_ground_truth(gt).splitlines())
 
 
