@@ -372,6 +372,7 @@ def cmd_gradcheck(args) -> int:
     values["corrupt"] = values["corrupt"] or None  # an empty name is unset
     report = run_gradcheck(**values)
     print("\n".join(report.lines()))
+    print(f"gradcheck runtime={report.runtime_s:.2f}s", file=sys.stderr)
     return 0  # a FAIL verdict is a report outcome, not a command failure
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .interactions import DatasetSplit, batch_arrays, sample_bpr_batch
-from .model import IntentSet, ModelDims, ModelParams, init_params, \
-    intent_embeddings
+from .model import PARAM_NAMES, IntentSet, ModelDims, ModelParams, \
+    init_params, intent_embeddings
 from .propagation import FinalEmbeddings, GraphBundle, build_graphs, dims_for, \
     forward
 
@@ -322,6 +322,8 @@ class GradcheckReport:
     runtime_s: float
 
     def lines(self) -> list[str]:
+        """One line per tensor and the verdict, without the wall clock, so
+        that identical checks print identical lines."""
         out = []
         for c in self.checks:
             out.append(
@@ -331,8 +333,7 @@ class GradcheckReport:
         verdict = "PASS" if self.passed else "FAIL"
         worst = max(self.checks, key=lambda c: c.max_rel_err)
         out.append(f"{verdict} max_rel_err={self.max_rel_err:.3e} "
-                   f"threshold={self.threshold:.0e} worst_tensor={worst.name} "
-                   f"runtime={self.runtime_s:.2f}s")
+                   f"threshold={self.threshold:.0e} worst_tensor={worst.name}")
         return out
 
 
@@ -373,6 +374,9 @@ def run_gradcheck(step: float = 1e-4, threshold: float = 1e-4,
     ``corrupt`` names a tensor whose analytic gradient is deliberately
     damaged before comparison; used to prove the check can fail.
     """
+    if corrupt is not None and corrupt not in PARAM_NAMES:
+        raise ValueError(f"cannot corrupt {corrupt!r}: the tensors are "
+                         f"{', '.join(PARAM_NAMES)}")
     t_start = time.perf_counter()
     params, bundle, (users, pos, neg), hp = tiny_instance(seed)
     grads, _ = backward(params, bundle, users, pos, neg, hp)

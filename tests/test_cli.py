@@ -234,6 +234,25 @@ def test_gradcheck_passes(capsys):
     assert all("at (" in ln for ln in lines[:-1])  # worst coordinate reported
 
 
+def test_gradcheck_stdout_repeats_exactly_and_runtime_goes_to_stderr(capsys):
+    outs = []
+    for _ in range(2):
+        assert run("gradcheck") == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        assert re.fullmatch(r"gradcheck runtime=\d+\.\d\ds\n", captured.err)
+    assert outs[0] == outs[1]
+    assert "runtime" not in outs[0]
+
+
+def test_gradcheck_unknown_tensor_is_a_usage_failure(capsys):
+    assert run("gradcheck", "--corrupt", "bogus") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error ValueError: cannot corrupt 'bogus': the "
+                            "tensors are E_g, E_f, R_g, R_f, S_g, S_f\n")
+
+
 def test_gradcheck_corruption_fails_with_tensor_named(capsys):
     # a FAIL verdict is a report outcome, not a command error
     assert run("gradcheck", "--corrupt", "R_f") == 0

@@ -1,6 +1,8 @@
 """Loss, gradient, optimizer, and fit-loop tests."""
 
+import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +232,23 @@ def test_gradcheck_passes():
     assert report.max_rel_err < 1e-4
     assert {c.name for c in report.checks} == {"E_g", "E_f", "R_g", "R_f",
                                                "S_g", "S_f"}
+
+
+def test_gradcheck_rejects_unknown_tensor_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradcheck built or differentiated a model")
+    monkeypatch.setattr(tr, "tiny_instance", no_work)
+    monkeypatch.setattr(tr, "backward", no_work)
+    with pytest.raises(ValueError, match=re.escape(
+            "cannot corrupt 'bogus': the tensors are E_g, E_f, R_g, R_f, S_g, S_f")):
+        tr.run_gradcheck(corrupt="bogus")
+
+
+def test_gradcheck_lines_leave_out_the_wall_clock():
+    report = tr.run_gradcheck()
+    slower = dataclasses.replace(report, runtime_s=report.runtime_s + 60.0)
+    assert slower.lines() == report.lines()
+    assert not any("runtime" in line for line in report.lines())
 
 
 def test_gradcheck_detects_corruption():
