@@ -240,11 +240,10 @@ def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth
     Check-in propensity for user u and POI p is sigmoid(affinity + gamma *
     proximity); POIs are drawn without replacement in proportion to it as
     the top k of log-weight + Gumbel keys, one derived rng stream per user.
-    The draw is an exact pruned Gumbel top-k (_gumbel_top_k): it computes
-    exact keys only for the POIs whose key bound can reach the top k, and
-    picks the same POIs as keying the full catalog.  A user whose draw holds
-    a zero uniform, or whose k-th key is tied, and every user when
-    interactions_per_user == n_pois, take the full-catalog path.
+    The draw is an exact pruned Gumbel top-k: only POIs whose key bound can
+    reach the top k get exact keys, and it picks the POIs the full-catalog
+    draw picks.  A zero uniform, a tie at the k-th key, or
+    interactions_per_user == n_pois sends a user down the full-catalog path.
     """
     # latent scale keeps taste . attr at unit order for any latent_dim
     scale = cfg.latent_dim ** -0.25

@@ -443,14 +443,6 @@ def test_ground_truth_parse_rejects_damaged_header(damage, message):
     assert str(info.value).startswith(f"ground truth header {lines[0]!r}: ")
 
 
-def test_ground_truth_parse_reads_the_cli_city_back():
-    _, _, gt = sg.generate_city(sg.CityConfig(**CLI_CITY))
-    back = sg.parse_ground_truth(sg.serialize_ground_truth(gt))
-    assert back.config == gt.config
-    for name in ("taste", "attr", "home_region", "poi_region"):
-        assert np.array_equal(getattr(back, name), getattr(gt, name))
-
-
 def test_functional_ndcg_empty_users_rejected():
     _, _, gt = small_city()
     with pytest.raises(ValueError):

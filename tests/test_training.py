@@ -1,6 +1,5 @@
 """Loss, gradient, optimizer, and fit-loop tests."""
 
-import dataclasses
 import gc
 import re
 
@@ -242,13 +241,6 @@ def test_gradcheck_rejects_unknown_tensor_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "cannot corrupt 'bogus': the tensors are E_g, E_f, R_g, R_f, S_g, S_f")):
         tr.run_gradcheck(corrupt="bogus")
-
-
-def test_gradcheck_lines_leave_out_the_wall_clock():
-    report = tr.run_gradcheck()
-    slower = dataclasses.replace(report, runtime_s=report.runtime_s + 60.0)
-    assert slower.lines() == report.lines()
-    assert not any("runtime" in line for line in report.lines())
 
 
 def test_gradcheck_detects_corruption():
