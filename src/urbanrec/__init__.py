@@ -17,9 +17,10 @@ model           parameter container, initialization, checkpoint format
 propagation     intent-aware graph convolution layers
 counterfactual  score bundles and the debiased ranking rule
 training        losses, Adam, the fit loop, finite-difference gradcheck
-evaluation      full-ranking Recall/NDCG/AUC
+evaluation      full-ranking Recall/NDCG/AUC; functional NDCG is evaluate
+                over the ground truth's functional targets
 synthgen        synthetic city generator with a controllable location bias,
-                and the functional NDCG probe against its ground truth
+                its ground truth and the functional split drawn from it
 cli             command line entry points (gen | train | eval | ablate | gradcheck)
 """
 

@@ -23,16 +23,14 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from .counterfactual import SCORERS
-from .evaluation import evaluate, rank_candidates
+from .evaluation import evaluate
 from .interactions import (InteractionSet, parse_checkins, serialize_checkins,
                            split_dataset)
 from .model import DimsMismatch, load_checkpoint, save_checkpoint
 from .propagation import build_graphs, dims_for, forward
-from .synthgen import (CityConfig, functional_ndcg, generate_city,
-                       parse_ground_truth, serialize_ground_truth)
+from .synthgen import (CityConfig, generate_city, parse_ground_truth,
+                       serialize_ground_truth)
 from .training import HyperParams, fit, run_gradcheck
 from .ukg import parse_triplets, serialize_triplets
 
@@ -202,13 +200,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _train_setup(data_dir: str, values: dict):
+def _load_split(data_dir: str, values: dict, seed: int):
     kg, iset = _load_data(data_dir)
     ratios = tuple(values[key] for key in SPLIT_RATIOS)
-    split = split_dataset(iset, ratios, values["seed"])
+    return kg, split_dataset(iset, ratios, seed)
+
+
+def _train_setup(kg, split, values: dict):
     bundle = build_graphs(kg, split, blended=values["blended"])
     dims = dims_for(kg, split, **_pick(values, DIMS_KEYS))
-    return kg, split, bundle, dims, HyperParams(**_pick(values, HP_KEYS))
+    return bundle, dims, HyperParams(**_pick(values, HP_KEYS))
 
 
 def _graph_record(kg, bundle) -> dict:
@@ -239,7 +240,8 @@ def _run_training(kg, split, bundle, dims, hp, seed, log_path, ckpt_path,
 
 def cmd_train(args) -> int:
     values = _resolve(args, TRAIN_KEYS)
-    kg, split, bundle, dims, hp = _train_setup(args.data, values)
+    kg, split = _load_split(args.data, values, values["seed"])
+    bundle, dims, hp = _train_setup(kg, split, values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, log = _run_training(kg, split, bundle, dims, hp, values["seed"],
@@ -289,9 +291,7 @@ def cmd_eval(args) -> int:
                          f"{values['scorer']!r}")
     if values["target"] not in ("test", "val"):
         raise UsageError(f"target must be test or val, got {values['target']!r}")
-    kg, iset = _load_data(args.data)
-    ratios = tuple(values[key] for key in SPLIT_RATIOS)
-    split = split_dataset(iset, ratios, values["split_seed"])
+    kg, split = _load_split(args.data, values, values["split_seed"])
     params = load_checkpoint(args.checkpoint)
     finals = _checked_forward(kg, split, params, params.dims)
     report = evaluate(finals, split, scorer=values["scorer"],
@@ -309,15 +309,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _ablation_row(name, scorer, finals, split, gt, eval_seed, fraction) -> dict:
+def _ablation_row(name, scorer, finals, split, functional, eval_seed) -> dict:
     report = evaluate(finals, split, scorer=scorer, target="test",
                       ks=(20, 40, 60), seed=eval_seed)
-    # functional ndcg ranks the full catalog: ground-truth relevance is
-    # independent of the observed check-ins, so nothing is excluded
-    empty = np.array([], dtype=np.int64)
-    ranked = {u: rank_candidates(u, finals, scorer, empty)
-              for u in range(split.n_users)}
-    fndcg = functional_ndcg(ranked, gt, k=20, fraction=fraction)
+    fndcg = evaluate(finals, functional, scorer, ks=(20,), with_auc=False).ndcg[20]
     row = {"variant": name, "scorer": scorer}
     row.update({f"recall@{k}": report.recall[k] for k in (20, 40, 60)})
     row.update({f"ndcg@{k}": report.ndcg[k] for k in (20, 40, 60)})
@@ -343,20 +338,25 @@ def cmd_ablate(args) -> int:
     values = _resolve(args, ABLATE_KEYS)
     if values["blended"]:
         raise UsageError("ablate controls the blended flag itself")
-    gt = _load_ground_truth(args.data)
+    functional = _load_ground_truth(args.data).functional_split(
+        values["functional_fraction"])
+    kg, split = _load_split(args.data, values, values["seed"])
+    if (functional.n_users, functional.n_pois) != (split.n_users, split.n_pois):
+        raise ValueError(
+            f"ground_truth.txt is for {functional.n_users} users x "
+            f"{functional.n_pois} POIs but the data has {split.n_users} users "
+            f"x {split.n_pois} POIs")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for blended, label, scored in ABLATE_VARIANTS:
-        kg, split, bundle, dims, hp = _train_setup(
-            args.data, dict(values, blended=blended))
+        bundle, dims, hp = _train_setup(kg, split, dict(values, blended=blended))
         params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
                                   out / f"train_log_{label}.jsonl",
                                   out / f"{label}_checkpoint.bin", label)
         finals = forward(params, bundle)
-        rows += [_ablation_row(name, scorer, finals, split, gt,
-                               values["eval_seed"],
-                               values["functional_fraction"])
+        rows += [_ablation_row(name, scorer, finals, split, functional,
+                               values["eval_seed"])
                  for name, scorer in scored]
 
     lines = [_format_row(r) for r in rows]

@@ -4,8 +4,16 @@ Every user with test targets ranks the whole catalog minus their already
 known positives (train and validation); ties break toward the smaller POI
 id so runs are reproducible.  evaluate holds one catalog row of scores at a
 time and finds each target's rank by counting, so its memory does not grow
-with the number of users.  AUC draws one uniform negative per positive,
-rejected against the user's full positive set, from a seed-tagged stream.
+with the number of users.  It counts the targets best first and stops at the
+first one ranked past every K, so a user with many targets costs a few
+counting passes.  AUC draws one uniform negative per positive, rejected
+against the user's full positive set, from a seed-tagged stream.
+
+Functional NDCG is this same evaluate over GroundTruth.functional_split,
+whose test view holds every user's top-affinity POIs and whose train and
+val views are empty, so the whole catalog is ranked.  rank_candidates,
+recall_at_k and ndcg_at_k are the list-based reference that tests and the
+benchmark check evaluate against.
 """
 
 from __future__ import annotations
@@ -138,6 +146,7 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
     if target not in ("test", "val"):
         raise ValueError(f"target must be 'test' or 'val', got {target!r}")
     ks = tuple(ks)
+    k_max = max(ks, default=0)
     target_set = split.test if target == "test" else split.val
     users = np.flatnonzero(np.diff(target_set.indptr)).tolist()
     if not users:
@@ -159,10 +168,17 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
         if target == "test":
             row[split.val.user_pois(u)] = -np.inf
         # the rank rank_candidates gives a target: one plus the candidates
-        # scoring higher, plus those tied with it that have a smaller id
-        ranks = np.sort([1 + np.count_nonzero(row > s)
-                         + np.count_nonzero(row[:t] == s)
-                         for t, s in zip(targets.tolist(), pos_scores.tolist())])
+        # scoring higher, plus those tied with it that have a smaller id.
+        # Targets taken best first (targets are ascending ids) get rising
+        # ranks, so the first one past every k ends the count.
+        order = np.argsort(-pos_scores, kind="stable")
+        ranks = []
+        for t, s in zip(targets[order].tolist(), pos_scores[order].tolist()):
+            rank = 1 + np.count_nonzero(row > s) + np.count_nonzero(row[:t] == s)
+            if rank > k_max:
+                break
+            ranks.append(rank)
+        ranks = np.array(ranks, dtype=np.int64)
         for k in ks:
             recall, ndcg = _recall_ndcg(ranks, len(targets), k)
             recall_acc[k] += recall

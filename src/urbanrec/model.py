@@ -62,6 +62,15 @@ class ModelDims:
     def func_rows(self) -> int:
         return self.n_users + self.n_pois + self.n_func_entities
 
+    @property
+    def shapes(self) -> dict:
+        """(rows, cols) of each parameter tensor, in PARAM_NAMES order."""
+        return {"E_g": (self.geo_rows, self.d), "E_f": (self.func_rows, self.d),
+                "R_g": (self.n_geo_relations, self.d),
+                "R_f": (self.n_func_relations, self.d),
+                "S_g": (self.n_intents_geo, self.n_geo_relations),
+                "S_f": (self.n_intents_func, self.n_func_relations)}
+
 
 @dataclass
 class ModelParams:
@@ -102,20 +111,11 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def init_params(dims: ModelDims, seed: int, blended: bool = False) -> ModelParams:
     """Xavier-uniform embeddings, zero intent scores; deterministic per seed."""
     mats = {}
-    shapes = {
-        "E_g": (dims.geo_rows, dims.d),
-        "E_f": (dims.func_rows, dims.d),
-        "R_g": (dims.n_geo_relations, dims.d),
-        "R_f": (dims.n_func_relations, dims.d),
-    }
     for k, name in enumerate(("E_g", "E_f", "R_g", "R_f")):
         rng = np.random.default_rng(np.random.SeedSequence([seed, INIT_STREAM, k]))
-        rows, cols = shapes[name]
-        mats[name] = ad.Tensor(_xavier(rng, rows, cols), requires_grad=True)
-    mats["S_g"] = ad.Tensor(np.zeros((dims.n_intents_geo, dims.n_geo_relations)),
-                            requires_grad=True)
-    mats["S_f"] = ad.Tensor(np.zeros((dims.n_intents_func, dims.n_func_relations)),
-                            requires_grad=True)
+        mats[name] = ad.Tensor(_xavier(rng, *dims.shapes[name]), requires_grad=True)
+    for name in ("S_g", "S_f"):
+        mats[name] = ad.Tensor(np.zeros(dims.shapes[name]), requires_grad=True)
     return ModelParams(dims, blended=blended, **mats)
 
 
@@ -170,8 +170,8 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str, expect: ModelDims | None = None) -> ModelParams:
-    """Read a checkpoint; with ``expect`` set, dims must match exactly."""
+def load_checkpoint(path: str) -> ModelParams:
+    """Read a checkpoint; its dims come from its own header."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -181,20 +181,9 @@ def load_checkpoint(path: str, expect: ModelDims | None = None) -> ModelParams:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     vals = struct.unpack_from("<10Q", blob, 9)
     dims = ModelDims(**{f: int(v) for f, v in zip(_DIM_FIELDS, vals)})
-    if expect is not None and dims != expect:
-        raise DimsMismatch(f"checkpoint dims {dims} != expected {expect}")
-    shapes = {
-        "E_g": (dims.geo_rows, dims.d),
-        "E_f": (dims.func_rows, dims.d),
-        "R_g": (dims.n_geo_relations, dims.d),
-        "R_f": (dims.n_func_relations, dims.d),
-        "S_g": (dims.n_intents_geo, dims.n_geo_relations),
-        "S_f": (dims.n_intents_func, dims.n_func_relations),
-    }
     offset = 9 + 80
     mats = {}
-    for name in PARAM_NAMES:
-        rows, cols = shapes[name]
+    for name, (rows, cols) in dims.shapes.items():
         count = rows * cols
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from .evaluation import ndcg_at_k
-from .interactions import InteractionSet
+from .interactions import DatasetSplit, InteractionSet
 from .ukg import RELATION_IDS, UrbanKG
 
 STRUCT_STREAM = 51
@@ -89,6 +89,23 @@ class GroundTruth:
         above = np.flatnonzero(aff > cut)
         at_cut = np.flatnonzero(aff == cut)[:count - len(above)]
         return set(above.tolist()) | set(at_cut.tolist())
+
+    def functional_split(self, fraction: float = 0.05) -> DatasetSplit:
+        """A split whose test view holds every user's functional_positives
+        and whose train and val views are empty: evaluate over it ranks the
+        whole catalog against ground-truth functional relevance, which is
+        independent of the observed check-ins."""
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"functional fraction must be in (0, 1], "
+                             f"got {fraction!r}")
+        n_users, n_pois = self.config.n_users, self.config.n_pois
+        pois = [np.fromiter(self.functional_positives(u, fraction), np.int64)
+                for u in range(n_users)]
+        users = np.repeat(np.arange(n_users), [len(p) for p in pois])
+        test = InteractionSet(n_users, n_pois,
+                              np.column_stack([users, np.concatenate(pois)]))
+        empty = InteractionSet(n_users, n_pois, np.empty((0, 2), np.int64))
+        return DatasetSplit(empty, empty, test)
 
 
 def region_grid_side(n_regions: int) -> int:
@@ -315,7 +332,9 @@ def functional_ndcg(ranked_by_user: dict, gt: GroundTruth, k: int,
 
     Geography plays no part in the relevance labels, so this measures how
     much functional preference a scorer recovers. ranked_by_user maps user
-    id to a ranked POI array; users absent from it are skipped.
+    id to a ranked POI array; users absent from it are skipped.  This is the
+    list-based reference kept for tests and the benchmark; the package
+    itself takes functional NDCG as evaluate over functional_split.
     """
     total, count = 0.0, 0
     for u in sorted(ranked_by_user):

@@ -292,6 +292,35 @@ def test_ablate_writes_three_rows(tmp_path, capsys):
     assert (tmp_path / "abl" / "no_disentangle_checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-1"])
+def test_ablate_rejects_a_bad_functional_fraction_before_training(
+        tmp_path, capsys, fraction):
+    gen_city(tmp_path / "city")
+    capsys.readouterr()
+    assert run("ablate", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS,
+               "--functional-fraction", fraction) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error ValueError: functional fraction must be in "
+                          f"(0, 1], got {float(fraction)!r}")
+    assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
+
+
+def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
+    gen_city(tmp_path / "city")
+    gen_city(tmp_path / "big", "--n-users", "30", "--n-pois", "80")
+    (tmp_path / "city" / "ground_truth.txt").write_text(
+        (tmp_path / "big" / "ground_truth.txt").read_text())
+    capsys.readouterr()
+    assert run("ablate", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert err == ("error ValueError: ground_truth.txt is for 30 users x 80 "
+                   "POIs but the data has 24 users x 60 POIs\n")
+    assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run([sys.executable, "-m", "urbanrec.cli", "gradcheck"],
                           capture_output=True, text=True, timeout=120)

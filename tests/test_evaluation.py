@@ -287,10 +287,11 @@ def test_evaluate_matches_per_user_reference():
         assert report.auc == auc_acc / n_users
 
 
-def tied_finals_and_split(rng, n_users=10, n_half=30, d=3):
+def tied_finals_and_split(rng, n_users=10, n_half=30, d=3, sizes=(8, 3, 5)):
     """Finals whose POIs come in identical pairs (POI i + n_half copies POI
     i) with small-integer coordinates, so that every score is exact and
-    equal scores fall across every cut-off and across the exclusions."""
+    equal scores fall across every cut-off and across the exclusions.  Each
+    user gets ``sizes`` (train, val, test) distinct POIs."""
     n_pois = 2 * n_half
 
     def ints(n):
@@ -304,10 +305,11 @@ def tied_finals_and_split(rng, n_users=10, n_half=30, d=3):
                              ad.Tensor(p_g + p_f))
     train, val, test = set(), set(), set()
     for u in range(n_users):
-        pois = rng.choice(n_pois, size=16, replace=False)
-        train.update((u, int(p)) for p in pois[:8])
-        val.update((u, int(p)) for p in pois[8:11])
-        test.update((u, int(p)) for p in pois[11:])
+        n_train, n_val, n_test = sizes
+        pois = rng.choice(n_pois, size=n_train + n_val + n_test, replace=False)
+        train.update((u, int(p)) for p in pois[:n_train])
+        val.update((u, int(p)) for p in pois[n_train:n_train + n_val])
+        test.update((u, int(p)) for p in pois[n_train + n_val:])
     mks = lambda ps: InteractionSet(n_users, n_pois, frozenset(ps))
     return finals, DatasetSplit(mks(train), mks(val), mks(test))
 
@@ -331,9 +333,10 @@ def test_rank_candidates_exact_ties_match_lexsort_oracle():
     assert straddled == 3 * split.n_users
 
 
-def test_evaluate_exact_ties_match_per_user_loop():
-    finals, split = tied_finals_and_split(np.random.default_rng(11))
-    ks = (1, 2, 3, 5, 8, 13)
+def assert_evaluate_matches_per_user_loop(finals, split, ks):
+    """evaluate equals recall_at_k, ndcg_at_k and pair_auc over a plain
+    rank_candidates loop, with ``==``, for every scorer and both targets;
+    some score ties must straddle a cut-off."""
     for scorer in ("tie", "te", "y_up"):
         for target, seen in (("test", (split.train, split.val)),
                              ("val", (split.train,))):
@@ -363,6 +366,19 @@ def test_evaluate_exact_ties_match_per_user_loop():
                 assert report.recall[k] == recall_acc[k] / n
                 assert report.ndcg[k] == ndcg_acc[k] / n
             assert report.auc == auc_acc / n
+
+
+def test_evaluate_exact_ties_match_per_user_loop():
+    finals, split = tied_finals_and_split(np.random.default_rng(11))
+    assert_evaluate_matches_per_user_loop(finals, split, (1, 2, 3, 5, 8, 13))
+
+
+def test_evaluate_stops_past_every_k_exactly_under_ties():
+    # 20 val and 24 test targets per user, more than the largest k: evaluate
+    # stops counting at the first target ranked past 13
+    finals, split = tied_finals_and_split(np.random.default_rng(13),
+                                          sizes=(6, 20, 24))
+    assert_evaluate_matches_per_user_loop(finals, split, (1, 2, 3, 5, 8, 13))
 
 
 def test_evaluate_peak_memory_does_not_grow_with_users():

@@ -37,6 +37,12 @@ def test_init_shapes():
     assert p.S_f.shape == (3, 11)
 
 
+def test_shape_table_gives_every_tensor_in_checkpoint_order():
+    p = md.init_params(DIMS, seed=0)
+    assert tuple(DIMS.shapes) == md.PARAM_NAMES
+    assert {n: t.shape for n, t in p.named_tensors()} == DIMS.shapes
+
+
 def test_init_deterministic():
     a = md.init_params(DIMS, seed=42)
     b = md.init_params(DIMS, seed=42)
@@ -155,16 +161,6 @@ def test_checkpoint_blended_flag(tmp_path):
     path = str(tmp_path / "ck.bin")
     md.save_checkpoint(p, path)
     assert md.load_checkpoint(path).blended is True
-
-
-def test_checkpoint_dims_mismatch(tmp_path):
-    p = md.init_params(DIMS, seed=0)
-    path = str(tmp_path / "ck.bin")
-    md.save_checkpoint(p, path)
-    other = md.ModelDims(n_users=3, n_pois=4, n_geo_entities=2,
-                         n_func_entities=5, d=16)
-    with pytest.raises(md.DimsMismatch):
-        md.load_checkpoint(path, expect=other)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import oracles
+from urbanrec import evaluation as ev
+from urbanrec import model as md
+from urbanrec import propagation as pg
 from urbanrec import synthgen as sg
 from urbanrec import ukg
-from urbanrec.interactions import serialize_checkins
+from urbanrec.interactions import serialize_checkins, split_dataset
 
 
 SMALL = dict(n_users=40, n_pois=120, n_regions=9, n_business_areas=12,
@@ -366,6 +369,45 @@ def test_functional_positives_ties_at_the_cut_go_to_low_ids():
             cut = min(aff[p] for p in pos)
             straddled += any(aff[p] == cut for p in range(120) if p not in pos)
     assert straddled > 10
+
+
+def test_functional_split_tests_every_users_top_quantile():
+    _, _, gt = small_city()
+    for fraction in (0.05, 0.25, 1.0):
+        split = gt.functional_split(fraction)
+        assert (split.n_users, split.n_pois) == (40, 120)
+        assert len(split.train) == len(split.val) == 0
+        for u in range(40):
+            assert set(split.test.user_pois(u).tolist()) == \
+                gt.functional_positives(u, fraction)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5, float("nan")])
+def test_functional_split_rejects_a_fraction_outside_zero_one(fraction):
+    _, _, gt = small_city()
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+        gt.functional_split(fraction)
+
+
+def test_functional_ndcg_through_evaluate_equals_the_list_reference():
+    # evaluate over functional_split is how the package takes functional
+    # NDCG; it must equal functional_ndcg over rank_candidates lists exactly,
+    # also when the targets outnumber k and evaluate stops counting early
+    kg, iset, gt = small_city()
+    split = split_dataset(iset, (0.8, 0.1, 0.1), seed=0)
+    bundle = pg.build_graphs(kg, split)
+    dims = pg.dims_for(kg, split, d=8, n_intents=2, n_layers=2)
+    finals = pg.forward(md.init_params(dims, seed=1), bundle)
+    empty = np.array([], dtype=np.int64)
+    for scorer in ("tie", "te"):
+        ranked = {u: ev.rank_candidates(u, finals, scorer, empty)
+                  for u in range(gt.config.n_users)}
+        for fraction in (0.05, 0.25):
+            functional = gt.functional_split(fraction)
+            for k in (3, 20):
+                got = ev.evaluate(finals, functional, scorer, ks=(k,),
+                                  with_auc=False).ndcg[k]
+                assert got == sg.functional_ndcg(ranked, gt, k, fraction)
 
 
 def test_functional_ndcg_oracle_scorer_is_one():
