@@ -7,6 +7,11 @@ small tape of :class:`Tensor` nodes and gradients are obtained by walking the
 tape backwards.  Only the handful of operations the model actually needs are
 implemented.  All data is float64.
 
+Gradients stay on leaves only: once a tape node has passed its gradient to
+its parents, the walk drops it, so one backward never holds every
+intermediate gradient at once and a second backward over the same tape
+adds each leaf's gradient exactly once more.
+
 Gradient correctness is enforced against central finite differences (see
 ``training.run_gradcheck`` and the test suite).
 """
@@ -64,7 +69,11 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar tensor through the recorded tape."""
+        """Backpropagate from a scalar tensor through the recorded tape.
+
+        Leaves (tensors without a backward rule) accumulate into ``grad``;
+        every other node's ``grad`` is released as soon as its rule has run.
+        """
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -86,6 +95,7 @@ class Tensor:
         for node in reversed(topo):
             if node._bwd is not None:
                 node._bwd(node.grad)
+                node.grad = None
 
     # -- operators ------------------------------------------------------------
 

@@ -70,6 +70,11 @@ class HyperParams:
             raise ValueError("batch_size must be >= 1")
         if min(self.lam_ind, self.lam_reg, self.cf_weight) < 0:
             raise ValueError("loss weights must be non-negative")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be > 0")
 
 
 # -- distance correlation ------------------------------------------------------
@@ -276,10 +281,13 @@ def fit(split: DatasetSplit, bundle: GraphBundle, dims: ModelDims,
             users, pos, neg = batch_arrays(batch)
             grads, breakdown = backward(params, bundle, users, pos, neg, hp)
             vals = breakdown.floats()
-            del breakdown  # frees this step's tape before the next is built
+            # backward already dropped the tape's gradients; this frees its
+            # forward values before the next step builds its own
+            del breakdown
             if vals["total"] > 1e6:
                 raise DivergedLoss(f"total loss {vals['total']:.3e} at epoch {epoch}")
             adam_step(params, grads, state, hp)
+            del grads  # or it holds this step's gradients through the next
             for k in sums:
                 sums[k] += vals[k]
         metric = float(val_metric_fn(params))

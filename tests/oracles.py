@@ -100,6 +100,35 @@ def naive_propagation(E, S, R, triplets, train_pois, n_users, n_layers):
     return states
 
 
+# -- autodiff ---------------------------------------------------------------------
+
+
+def retaining_backward(root) -> None:
+    """Walk a scalar tape node's graph backwards, keeping every node's grad.
+
+    The same depth-first topological order as ``Tensor.backward``, so sums
+    into each gradient run in the same order; only the release of
+    intermediate gradients is left out.
+    """
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones(())
+    for node in reversed(topo):
+        if node._bwd is not None:
+            node._bwd(node.grad)
+
+
 # -- check-in draw -----------------------------------------------------------------
 
 

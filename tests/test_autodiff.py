@@ -269,6 +269,27 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_allclose(t.grad, 2.0 * t.data + 1.0)
 
 
+def test_second_backward_adds_each_leaf_gradient_once():
+    x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = (x * 2.0).sum()
+    y.backward()
+    y.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    c = ad.Tensor(np.array([5.0, 6.0]))
+    h = a * b
+    y = (h + c).sum()
+    y.backward()
+    assert h.grad is None and y.grad is None
+    np.testing.assert_array_equal(a.grad, b.data)
+    np.testing.assert_array_equal(b.grad, a.data)
+    assert c.grad is None
+
+
 def test_no_grad_tracking_for_constants():
     a = ad.Tensor(np.ones((2, 2)))
     b = ad.Tensor(np.ones((2, 2)))

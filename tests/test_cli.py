@@ -321,6 +321,22 @@ def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
     assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("beta1", "1.0", "must be in [0, 1)"),
+    ("beta2", "1.5", "must be in [0, 1)"),
+    ("eps", "0", "must be > 0"),
+])
+def test_train_rejects_a_bad_optimizer_setting(tmp_path, capsys, field, value,
+                                                message):
+    gen_city(tmp_path / "city")
+    capsys.readouterr()
+    assert run("train", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
+               f"--{field}", value) == 1
+    assert capsys.readouterr().err == f"error ValueError: {field} {message}\n"
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run([sys.executable, "-m", "urbanrec.cli", "gradcheck"],
                           capture_output=True, text=True, timeout=120)
