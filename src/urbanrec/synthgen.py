@@ -11,8 +11,10 @@ taste-relevant structure.  A
 geo_strength dial adds a proximity term between each user's home region and
 the POI's region to the check-in propensity: at 0 visits depend only on
 functional match, and as it grows check-ins concentrate near home.  Each
-user's check-ins are an exact pruned Gumbel top-k draw over the catalog
-(see generate_city).  Knowing
+user's check-ins are an exact Gumbel top-k draw over the catalog whose
+work follows the user's few hundred smallest uniforms: the noise falls as
+the uniform grows and log sigmoid(w) <= 0, so one bound clears every POI
+outside them (see _gumbel_top_k).  Knowing
 the true taste vectors lets tests measure how well a scorer recovers
 functional preference independently of geography.
 """
@@ -59,8 +61,11 @@ class CityConfig:
                 continue
             if getattr(self, f.name) < 1:
                 raise InfeasibleConfig(f"{f.name} must be >= 1")
-        if self.geo_strength < 0:
-            raise InfeasibleConfig("geo_strength must be >= 0")
+        # the check-in draw's slack assumes finite weights, and inf * -0.0
+        # would make a NaN one
+        if not (math.isfinite(self.geo_strength) and self.geo_strength >= 0):
+            raise InfeasibleConfig(
+                f"geo_strength must be finite and >= 0, got {self.geo_strength!r}")
         if self.interactions_per_user > self.n_pois:
             raise InfeasibleConfig(
                 f"interactions_per_user={self.interactions_per_user} exceeds "
@@ -216,38 +221,71 @@ def _gumbel_noise(r: np.ndarray) -> np.ndarray:
     return np.array([0.0 - math.log(-math.log(1.0 - x)) for x in r.tolist()])
 
 
-def _gumbel_top_k(w: np.ndarray, k: int, fresh_rng) -> np.ndarray:
+def _gumbel_top_k(aff: np.ndarray, geo_row: np.ndarray, k: int,
+                  fresh_rng) -> np.ndarray:
     """The k ids with the largest keys _log_sigmoid(w) + fresh_rng().gumbel(
-    size=len(w)), in no particular order: k draws without replacement in
-    proportion to sigmoid(w).  ``fresh_rng`` returns a generator at the
-    start of the same stream on every call.
+    size=len(w)), where w = aff + geo_row, in no particular order: k draws
+    without replacement in proportion to sigmoid(w).  ``fresh_rng`` returns
+    a generator at the start of the same stream on every call.
 
-    Only ids that can reach the top k need their exact key.  gumbel turns
-    each uniform r into -log(-log(1 - r)), and log sigmoid(w) lies in
-    [min(w, 0) - ln 2, min(w, 0)], so a vectorised upper bound on every key
-    rules out all but a few dozen ids, whose exact keys come from
-    _gumbel_noise.  Where pruning cannot be shown exact the whole catalog is
-    keyed instead: k == len(w), a zero uniform (which gumbel rejects and
-    redraws), or a tie at the k-th key.
+    Only ids that can reach the top k need their exact key, and the work
+    follows the few hundred smallest uniforms, not the catalog.  gumbel
+    turns each uniform r into the noise g(r) = -log(-log(1 - r)), which
+    falls as r grows, and log sigmoid(w) <= 0, so every id with r > q has
+    a key of at most g(q).  A round looks only at the ids with r <= q,
+    starting from q = 64k / n.  On them, log sigmoid(w) lies in
+    [min(w, 0) - ln 2, min(w, 0)], so a vectorised upper bound on each key
+    is exact to within ln 2, and the k-th largest bound less ln 2 is a
+    floor under the catalog's k-th largest key.  When g(q) is below the
+    floor no id outside the round can reach the top k, and the round's ids
+    whose bound reaches the floor get exact keys from _gumbel_noise;
+    otherwise q grows fourfold, and the round with q >= 1 covers the whole
+    catalog.  g(q) uses gumbel's own formula, so rounding keeps it above
+    every noise outside the round; numpy's vectorised log is a few ulp off
+    libm's, and a relative slack on both sides of each comparison covers
+    that and every rounding in the keys.  Where pruning cannot be shown
+    exact the whole catalog is keyed instead: k == len(w), a zero uniform
+    (which gumbel rejects and redraws), or a tie at the k-th key.
     """
-    n = len(w)
+    n = len(aff)
     if k < n:
         r = fresh_rng().random(n)
-        if r.all():
-            neg_noise = np.log(-np.log(1.0 - r))
-            bound = np.minimum(w, 0.0) - neg_noise
-            kth = np.partition(bound, n - k)[n - k]
-            # numpy's vectorised log is a few ulp off libm's; a relative
-            # slack covers that and every rounding in the keys
-            tol = 1e-9 * (1.0 + np.abs(w).max() + np.abs(neg_noise).max())
-            cand = np.flatnonzero(bound >= kth - math.log(2.0) - tol)
-            if len(cand) == k:
-                return cand
-            keys = _log_sigmoid(w[cand]) + _gumbel_noise(r[cand])
-            desc = np.sort(keys)[::-1]
-            if desc[k - 1] > desc[k]:
-                return cand[keys > desc[k]]
-    keys = _log_sigmoid(w) + fresh_rng().gumbel(size=n)
+        # a round of 64k ids settles most users in one: the k-th key of a
+        # confounded city comes from the few POIs near home
+        q = 64 * k / n
+        while True:
+            sub = np.flatnonzero(r <= q)  # the whole catalog once q >= 1
+            if len(sub) >= k:
+                rs = r[sub]
+                if not rs.all():  # a zero is the smallest uniform
+                    break
+                w = aff[sub] + geo_row[sub]
+                neg_noise = np.log(-np.log(1.0 - rs))
+                bound = np.minimum(w, 0.0) - neg_noise
+                kth = np.partition(bound, len(sub) - k)[len(sub) - k]
+                floor = kth - math.log(2.0)
+                # the slack needs no |g(q)| term: g(q) >= 0 is no larger
+                # than the round's largest |noise|, and g(q) < 0 is above -4
+                tol = 1e-9 * (1.0 + np.abs(w).max() + np.abs(neg_noise).max())
+                outside = -math.log(-math.log(1.0 - q)) if q < 1.0 else -math.inf
+                if outside + tol < floor - tol:
+                    cand = np.flatnonzero(bound >= floor - tol)
+                    if len(cand) == k:
+                        return sub[cand]
+                    keys = _log_sigmoid(w[cand]) + _gumbel_noise(rs[cand])
+                    desc = np.sort(keys)[::-1]
+                    if desc[k - 1] > desc[k]:
+                        return sub[cand[keys > desc[k]]]
+                    break
+            if q >= 1.0:  # only a NaN weight fails the whole-catalog round
+                break
+            q *= 4.0
+    return _full_catalog_top_k(aff + geo_row, k, fresh_rng)
+
+
+def _full_catalog_top_k(w: np.ndarray, k: int, fresh_rng) -> np.ndarray:
+    """The draw _gumbel_top_k defines, keying every id."""
+    keys = _log_sigmoid(w) + fresh_rng().gumbel(size=len(w))
     return np.argpartition(-keys, k - 1)[:k]
 
 
@@ -257,10 +295,13 @@ def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth
     Check-in propensity for user u and POI p is sigmoid(affinity + gamma *
     proximity); POIs are drawn without replacement in proportion to it as
     the top k of log-weight + Gumbel keys, one derived rng stream per user.
-    The draw is an exact pruned Gumbel top-k: only POIs whose key bound can
-    reach the top k get exact keys, and it picks the POIs the full-catalog
-    draw picks.  A zero uniform, a tie at the k-th key, or
-    interactions_per_user == n_pois sends a user down the full-catalog path.
+    The draw is exact and picks the POIs the full-catalog draw picks, but
+    it bounds and keys only the POIs with the smallest uniforms: every other
+    POI's key is at most the noise of the round's cut, which _gumbel_top_k
+    shows to be below the k-th key.  Each user's affinity row is the full
+    taste . attr product, so every weight is bit-equal to the full draw's.
+    A zero uniform, a tie at the k-th key, or interactions_per_user ==
+    n_pois sends a user down the full-catalog path.
     """
     # latent scale keeps taste . attr at unit order for any latent_dim
     scale = cfg.latent_dim ** -0.25
@@ -310,9 +351,9 @@ def generate_city(cfg: CityConfig) -> tuple[UrbanKG, InteractionSet, GroundTruth
     k = cfg.interactions_per_user
     pois = np.empty((cfg.n_users, k), dtype=np.int64)
     for u in range(cfg.n_users):
-        w = taste[u] @ attr.T + geo[home[u]]
         stream = np.random.SeedSequence([cfg.seed, INTERACT_STREAM, u])
-        pois[u] = _gumbel_top_k(w, k, lambda: np.random.default_rng(stream))
+        pois[u] = _gumbel_top_k(taste[u] @ attr.T, geo[home[u]], k,
+                                lambda: np.random.default_rng(stream))
 
     ids = np.column_stack([np.repeat(np.arange(cfg.n_users), k), pois.ravel()])
     iset = InteractionSet(cfg.n_users, cfg.n_pois, ids)

@@ -294,11 +294,13 @@ def parse_triplets(text: str) -> UrbanKG:
         flat += (RELATION_IDS[rel.name], head, tail)
         linenos.append(lineno)
     rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
-    dup = _first_duplicate(rows)
-    if dup >= 0:
-        lineno = linenos[dup]
-        raise DuplicateTriplet(f"line {lineno}: {lines[lineno - 1].strip()!r}")
-    return UrbanKG(rows, populations)
+    # UrbanKG scans for repeats; only a failed scan is repeated, to name the line
+    try:
+        return UrbanKG(rows, populations)
+    except DuplicateTriplet:
+        lineno = linenos[_first_duplicate(rows)]
+        raise DuplicateTriplet(
+            f"line {lineno}: {lines[lineno - 1].strip()!r}") from None
 
 
 def serialize_triplets(kg: UrbanKG) -> str:

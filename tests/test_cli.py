@@ -65,6 +65,16 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_gen_rejects_a_non_finite_geo_strength(tmp_path, capsys, gamma):
+    assert run("gen", "--out", str(tmp_path / "x"), *CITY_FLAGS,
+               "--geo-strength", gamma) == 1
+    err = capsys.readouterr().err
+    assert err == ("error InfeasibleConfig: geo_strength must be finite and "
+                   f">= 0, got {gamma}\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_eval_round_trip(tmp_path, capsys):
     gen_city(tmp_path / "city")
     train(tmp_path / "city", tmp_path / "run")

@@ -35,6 +35,12 @@ def test_config_validation():
         sg.CityConfig(n_pois=10, interactions_per_user=11)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_a_non_finite_geo_strength(gamma):
+    with pytest.raises(sg.InfeasibleConfig, match="^geo_strength must be finite"):
+        sg.CityConfig(geo_strength=gamma)
+
+
 POI_RELATIONS = ("LocateAt", "BelongTo", "BrandOf", "Cate1Of", "Cate2Of", "Cate3Of")
 
 
@@ -146,6 +152,8 @@ CLI_CITY = dict(n_users=24, n_pois=60, n_regions=4, n_business_areas=8,
                 n_brands=12, n_cate1=2, n_cate2=4, n_cate3=8,
                 interactions_per_user=6, seed=2)
 
+SUBSET_CITY = dict(n_users=40, n_pois=8000, geo_strength=5.0)
+
 # sha256 of serialize_triplets, serialize_checkins and serialize_ground_truth,
 # recorded from the plain full-catalog check-in draw: a faster draw must
 # reproduce every city byte for byte
@@ -166,6 +174,15 @@ PINNED_CITIES = {
         "003317b79deadf8505d715afd29eb8e7955fcf8387aaae2356fcee30f5727ad3",
         "025018ab9281834ceeca9e36468accf06ef80ba2e9584d96692eff0876221e7d",
         "9a478fad721c1059040a8853b7a85c8a82e68d0cb5402f33545f85040e45f406")),
+    # 40 users x 8000 POIs: the draw keys a subset; at 10 most users widen it
+    "subset-geo5": (SUBSET_CITY, (
+        "eaa1de61c5343423734433db75a261812b06fe8c2cb79e778fba587d271bb3b0",
+        "b064c1e593a72d48735b3a0c50e99fd5bfe645f56382bf2f4b00834e67560842",
+        "8fd0c877890bdb1e89a69894625f7a07163b36de45f6881ce50559b59b3d3be3")),
+    "subset-geo10": (dict(SUBSET_CITY, geo_strength=10.0), (
+        "eaa1de61c5343423734433db75a261812b06fe8c2cb79e778fba587d271bb3b0",
+        "7b4fb12a64e0b1c3c86e175a006c3f4dedcc34721ada346ee1700f9c81dcabd3",
+        "0316b1b4ce7c99d064e16fb4f3df76af8b7e426f1a6213a6333c8f5784349f29")),
     "every-poi": (dict(SMALL, interactions_per_user=120), (
         "58de26d35a3cd78e8d6da55552ddd9c02ed377f27b499f8d7c4b1de096ab4b13",
         "7070deef858d66a0ed9a8b9933da53c508d27e5479abb041906037ae9fc8edf2",
@@ -248,8 +265,11 @@ def test_gamma_zero_selection_is_pure_functional():
     dict(CLI_CITY),
     dict(n_users=60, geo_strength=5.0, seed=1),
     dict(n_users=60, geo_strength=50.0, seed=7, interactions_per_user=1),
+    dict(SUBSET_CITY),
+    dict(SUBSET_CITY, geo_strength=10.0),
 ], ids=["k=1", "k=n-1", "k=n", "geo0", "geo50", "geo8-dim32", "cli",
-        "default-pois-geo5", "default-pois-geo50-k1"])
+        "default-pois-geo5", "default-pois-geo50-k1", "subset-geo5",
+        "subset-geo10"])
 def test_checkins_match_full_catalog_oracle(config):
     _, iset, gt = sg.generate_city(sg.CityConfig(**config))
     assert np.array_equal(iset.ids, oracles.naive_checkins(gt, sg.INTERACT_STREAM))
@@ -259,6 +279,42 @@ def test_gumbel_noise_is_bit_equal_to_generator_gumbel():
     r = np.random.default_rng(9).random(20000)
     assert np.array_equal(sg._gumbel_noise(r),
                           np.random.default_rng(9).gumbel(size=20000))
+
+
+def test_subset_city_never_keys_the_full_catalog(monkeypatch):
+    # every user of this city settles on a subset of the catalog, so a draw
+    # that quietly keyed the whole catalog instead would not be noticed by
+    # the digests alone
+    def refuse(*args):
+        raise AssertionError("the draw keyed the full catalog")
+    monkeypatch.setattr(sg, "_full_catalog_top_k", refuse)
+    _, iset, gt = sg.generate_city(sg.CityConfig(**SUBSET_CITY))
+    assert np.array_equal(iset.ids, oracles.naive_checkins(gt, sg.INTERACT_STREAM))
+
+
+class CountedReads(np.ndarray):
+    """Weights that count the entries read by indexing and refuse
+    arithmetic on the whole array."""
+
+    def __getitem__(self, index):
+        got = np.asarray(self)[index]
+        self.reads += np.size(got)
+        return got
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("arithmetic on every weight")
+
+
+def test_draw_reads_only_the_smallest_uniforms():
+    n, k = 20000, 20
+    fresh = lambda: np.random.default_rng(11)
+    w = np.random.default_rng(12).normal(size=n)
+    counted = w.view(CountedReads)
+    counted.reads = 0
+    got = sg._gumbel_top_k(counted, np.zeros(n), k, fresh)
+    assert len(got) == k
+    assert set(got.tolist()) == full_catalog_top_k(w, k, fresh)
+    assert 0 < counted.reads <= 4 * 64 * k
 
 
 def full_catalog_top_k(w, k, fresh_rng) -> set:
@@ -281,18 +337,34 @@ def rng_drawing_zero_first():
 
 
 def test_draw_keys_the_full_catalog_after_a_zero_uniform():
+    check_zero_uniform(300)
+
+
+def test_draw_keys_the_full_catalog_after_a_zero_uniform_in_a_subset():
+    check_zero_uniform(20000)
+
+
+def check_zero_uniform(n):
     assert rng_drawing_zero_first().random() == 0.0
-    w = np.random.default_rng(0).normal(size=300)
+    w = np.random.default_rng(0).normal(size=n)
     # gumbel rejects the zero and redraws, so POI 0 gets the next uniform's
     # noise; a pruned draw that kept the zero would give it an infinite key
     w[0] = -100.0
-    got = sg._gumbel_top_k(w, 5, rng_drawing_zero_first)
+    got = sg._gumbel_top_k(w, np.zeros(n), 5, rng_drawing_zero_first)
     assert len(got) == 5 and 0 not in got
     assert set(got.tolist()) == full_catalog_top_k(w, 5, rng_drawing_zero_first)
 
 
 def test_draw_keys_the_full_catalog_on_a_tie_at_the_kth_key():
-    n, k = 50, 2
+    check_tie_at_the_kth_key(50)  # the first round covers the catalog
+
+
+def test_draw_keys_the_full_catalog_on_a_tie_at_the_kth_key_in_a_subset():
+    check_tie_at_the_kth_key(5000)
+
+
+def check_tie_at_the_kth_key(n):
+    k = 2
     fresh = lambda: np.random.default_rng(3)
     assert fresh().random(n).all()
     g = fresh().gumbel(size=n)
@@ -314,7 +386,7 @@ def test_draw_keys_the_full_catalog_on_a_tie_at_the_kth_key():
     keys = sg._log_sigmoid(w) + g
     desc = np.sort(keys)[::-1]
     assert desc[0] > desc[1] == desc[2] > desc[3]  # the k-th key is tied
-    got = sg._gumbel_top_k(w, k, fresh)
+    got = sg._gumbel_top_k(w, np.zeros(n), k, fresh)
     assert len(got) == k
     assert set(got.tolist()) == full_catalog_top_k(w, k, fresh)
 

@@ -97,6 +97,25 @@ def test_parse_rejects_duplicates():
         parse_triplets(f"{line}\n\n{line}\n")
 
 
+def test_parse_names_the_first_repeated_line_exactly():
+    text = ("#counts POI=1 Brand=1\nPOI:0\tBrandOf\tBrand:0\n"
+            "POI:0\tLocateAt\tRegion:0\n  POI:0\tBrandOf\tBrand:0 \n"
+            "POI:0\tLocateAt\tRegion:0\n")
+    with pytest.raises(ukg.DuplicateTriplet) as info:
+        parse_triplets(text)
+    # the repeat is named before the #counts header's short Region count
+    assert str(info.value) == "line 4: 'POI:0\\tBrandOf\\tBrand:0'"
+
+
+def test_parse_scans_for_duplicates_once(monkeypatch):
+    calls = []
+    scan = ukg._first_duplicate
+    monkeypatch.setattr(ukg, "_first_duplicate",
+                        lambda rows: calls.append(len(rows)) or scan(rows))
+    parse_triplets("POI:0\tBrandOf\tBrand:0\nPOI:0\tLocateAt\tRegion:0\n")
+    assert calls == [2]
+
+
 def test_parse_skips_comments_and_blank_lines():
     kg = parse_triplets("# a comment\n\nPOI:0\tLocateAt\tRegion:0\n")
     assert len(kg.triplets) == 1
