@@ -19,7 +19,7 @@ for one user.  Expect about a minute.
 
 import numpy as np
 
-from urbanrec.counterfactual import bundle_scores, score_candidates
+from urbanrec.counterfactual import score_candidates, score_catalog
 from urbanrec.evaluation import rank_candidates
 from urbanrec.interactions import split_dataset
 from urbanrec.propagation import build_graphs, dims_for, forward
@@ -101,13 +101,17 @@ for name, scorer in (("total effect", "te"), ("debiased", "tie")):
           f"negative match x negative gate: {int(junk.sum())}/10")
 
 ###############################################################################
-# The bundle view of a single pair carries every component at once.
+# One pair, read off the catalog scorers.  The total effect is the factual
+# fusion y_up * tanh(y_ug), and the debiased score removes from it the
+# geographical share nde = te - tie, the reference gated by the same tanh.
 
 poi = int(rank_candidates(user, finals, "tie", empty)[0])
-b = bundle_scores(float(y_up[poi]), float(y_ug[poi]), float(refs[user]))
+te = score_catalog(finals, user, "te")[poi]
+tie = score_catalog(finals, user, "tie")[poi]
 print(f"\npair (user {user}, poi {poi}):")
-print(f"  match {b.y_up:+.3f}, gate input {b.y_ug:+.3f}, "
-      f"reference {b.y_up_ref:+.3f}")
-print(f"  factual fused {b.y_fused:+.4f} = total effect {b.te:+.4f}")
-print(f"  geographical share removed {b.nde:+.4f}")
-print(f"  debiased {b.tie:+.4f}")
+print(f"  match {y_up[poi]:+.3f}, gate input {y_ug[poi]:+.3f}, "
+      f"reference {refs[user]:+.3f}")
+print(f"  factual fused {y_up[poi] * np.tanh(y_ug[poi]):+.4f} = "
+      f"total effect {te:+.4f}")
+print(f"  geographical share removed {te - tie:+.4f}")
+print(f"  debiased {tie:+.4f}")

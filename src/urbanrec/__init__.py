@@ -15,7 +15,7 @@ interactions    check-ins as a sorted id array, chronology-free splits,
                 negative sampling
 model           parameter container, initialization, checkpoint format
 propagation     intent-aware graph convolution layers
-counterfactual  score bundles and the debiased ranking rule
+counterfactual  the catalog scorers tie / te / y_up
 training        losses, Adam, the fit loop, finite-difference gradcheck
 evaluation      full-ranking Recall/NDCG/AUC; functional NDCG is evaluate
                 over the ground truth's functional targets
@@ -45,13 +45,12 @@ from .interactions import (  # noqa: F401
 )
 from .model import ModelDims, ModelParams, init_params  # noqa: F401
 from .propagation import build_graphs, dims_for, forward  # noqa: F401
-from .counterfactual import ScoreBundle, score_candidates  # noqa: F401
+from .counterfactual import score_candidates  # noqa: F401
 from .training import HyperParams, fit, run_gradcheck  # noqa: F401
 from .evaluation import MetricsReport, evaluate  # noqa: F401
 from .synthgen import (  # noqa: F401
     CityConfig,
     GroundTruth,
-    functional_ndcg,
     generate_city,
     same_region_rate,
 )

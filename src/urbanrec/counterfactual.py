@@ -16,53 +16,18 @@ ranking equals factual-fusion ranking.
 
 One user is scored against the whole catalog with two matrix-vector
 products, P @ u and P_g @ u_g, and the reference score reads the catalog
-mean that FinalEmbeddings.p_mean computes once.  fuse and bundle_scores
-accept scalars or aligned arrays.  All of this is plain numpy used at
-inference time only (training scores candidates through the autodiff path).
+mean that FinalEmbeddings.p_mean computes once.  All of this is plain
+numpy used at inference time only (training scores candidates through the
+autodiff path).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .propagation import FinalEmbeddings
 
 SCORERS = ("tie", "te", "y_up")
-
-
-@dataclass
-class ScoreBundle:
-    """Factual, counterfactual, and effect scores for user-POI pairs.
-
-    Fields are scalars for a single pair or aligned arrays for a batch of
-    candidates of one user.
-    """
-
-    y_up: np.ndarray     # fused match score
-    y_ug: np.ndarray     # geographical-chunk match score
-    y_up_ref: np.ndarray  # user's catalog-average match score
-    y_fused: np.ndarray  # y_up gated by geography
-    tie: np.ndarray      # debiased prediction
-    te: np.ndarray       # total effect (equals y_fused, see module docstring)
-    nde: np.ndarray      # the geographical-only share removed by tie
-
-
-def fuse(y_up, y_ug):
-    return y_up * np.tanh(y_ug)
-
-
-def bundle_scores(y_up, y_ug, y_up_ref) -> ScoreBundle:
-    y_fused = fuse(y_up, y_ug)
-    nde = fuse(y_up_ref, y_ug)  # minus the tanh(0) world, which is zero
-    return ScoreBundle(
-        y_up=y_up, y_ug=y_ug, y_up_ref=y_up_ref,
-        y_fused=y_fused,
-        tie=y_fused - nde,
-        te=y_fused,
-        nde=nde,
-    )
 
 
 def score_catalog(finals: FinalEmbeddings, u_index: int,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counterfactual import score_candidates, score_catalog
+from .counterfactual import SCORERS, score_candidates, score_catalog
 from .interactions import DatasetSplit, sample_negatives
 from .propagation import FinalEmbeddings
 
@@ -89,6 +89,7 @@ def pair_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     wins = (diff > 0).sum() + 0.5 * (diff == 0).sum()
     return float(wins) / diff.size
 
+
 def sample_auc_negatives(split: DatasetSplit, user: int, count: int,
                          seed: int) -> np.ndarray:
     """Uniform negatives, rejected against the user's full positive set."""
@@ -145,6 +146,8 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
     """
     if target not in ("test", "val"):
         raise ValueError(f"target must be 'test' or 'val', got {target!r}")
+    if scorer not in SCORERS:
+        raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
     ks = tuple(ks)
     k_max = max(ks, default=0)
     target_set = split.test if target == "test" else split.val

@@ -176,18 +176,22 @@ def load_checkpoint(path: str) -> ModelParams:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a parameter checkpoint")
+    offset = 9 + 80  # magic, version, mode and the ten dims
+    if len(blob) < offset:
+        raise ValueError(f"{path}: truncated checkpoint")
     version, mode = struct.unpack_from("<IB", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     vals = struct.unpack_from("<10Q", blob, 9)
     dims = ModelDims(**{f: int(v) for f, v in zip(_DIM_FIELDS, vals)})
-    offset = 9 + 80
+    size = offset + 8 * sum(rows * cols for rows, cols in dims.shapes.values())
+    if len(blob) != size:
+        raise ValueError(f"{path}: truncated checkpoint" if len(blob) < size
+                         else f"{path}: trailing bytes in checkpoint")
     mats = {}
     for name, (rows, cols) in dims.shapes.items():
         count = rows * cols
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         mats[name] = ad.Tensor(arr.reshape(rows, cols).copy(), requires_grad=True)
-    if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
     return ModelParams(dims, blended=bool(mode), **mats)

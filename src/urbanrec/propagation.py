@@ -165,7 +165,7 @@ def _propagate_side(E: ad.Tensor, S: ad.Tensor, R: ad.Tensor,
 
 def forward(params: ModelParams, bundle: GraphBundle,
             return_trace: bool = False):
-    """Run all layers on both sides and fuse.
+    """Run all layers on both sides and average them into the fused rows.
 
     Returns FinalEmbeddings, or (FinalEmbeddings, LayerTrace) when tracing.
     The trace holds raw per-layer arrays for oracle tests.

@@ -132,16 +132,10 @@ def _pair_scores(U: ad.Tensor, P: ad.Tensor, users, pois) -> ad.Tensor:
     return (ad.gather(U, users) * ad.gather(P, pois)).sum(axis=1)
 
 
-def bpr_factual(users, pos, neg, finals: FinalEmbeddings) -> ad.Tensor:
-    y_pos = _pair_scores(finals.u, finals.p, users, pos)
-    y_neg = _pair_scores(finals.u, finals.p, users, neg)
-    return bpr_loss(y_pos, y_neg)
-
-
-def bpr_counterfactual(users, pos, neg, finals: FinalEmbeddings) -> ad.Tensor:
-    y_pos = _pair_scores(finals.u_g, finals.p_g, users, pos)
-    y_neg = _pair_scores(finals.u_g, finals.p_g, users, neg)
-    return bpr_loss(y_pos, y_neg)
+def bpr_chunk(U: ad.Tensor, P: ad.Tensor, users, pos, neg) -> ad.Tensor:
+    """BPR over one pair of user and POI tables: the fused rows give the
+    factual loss, the geographical chunks the counterfactual one."""
+    return bpr_loss(_pair_scores(U, P, users, pos), _pair_scores(U, P, users, neg))
 
 
 @dataclass
@@ -171,8 +165,8 @@ def _sq_l2(tensors) -> ad.Tensor:
 def total_loss(users, pos, neg, params: ModelParams, finals: FinalEmbeddings,
                intents_g: IntentSet, intents_f: IntentSet,
                hp: HyperParams) -> LossBreakdown:
-    l_f = bpr_factual(users, pos, neg, finals)
-    l_c = bpr_counterfactual(users, pos, neg, finals)
+    l_f = bpr_chunk(finals.u, finals.p, users, pos, neg)
+    l_c = bpr_chunk(finals.u_g, finals.p_g, users, pos, neg)
     l_ind_g = independence_loss(intents_g)
     l_ind_f = independence_loss(intents_f)
     l_reg = _sq_l2(params.named_tensors())

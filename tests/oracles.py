@@ -100,6 +100,23 @@ def naive_propagation(E, S, R, triplets, train_pois, n_users, n_layers):
     return states
 
 
+# -- counterfactual scores --------------------------------------------------------
+
+
+def naive_pair_scores(U, P, U_g, P_g, u, p) -> dict:
+    """One (user, POI) pair's scores from scalar loops over the coordinates:
+    y_up = u . p, te = y_up * tanh(u_g . p_g), and tie = te minus the
+    geographical share, the reference (the plain average of the user's
+    catalog matches) behind the same gate."""
+    def dot(a, b):
+        return sum(a[i] * b[i] for i in range(len(a)))
+    y_up = dot(U[u], P[p])
+    gate = math.tanh(dot(U_g[u], P_g[p]))
+    ref = sum(dot(U[u], P[t]) for t in range(len(P))) / len(P)
+    te = y_up * gate
+    return {"y_up": y_up, "te": te, "tie": te - ref * gate}
+
+
 # -- autodiff ---------------------------------------------------------------------
 
 

@@ -211,6 +211,16 @@ def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error ValueError:")
 
 
+def test_eval_rejects_truncated_checkpoint(tmp_path, capsys):
+    gen_city(tmp_path / "city")
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"UKGR\x01\x00")
+    assert run("eval", "--data", str(tmp_path / "city"),
+               "--checkpoint", str(short)) == 1
+    assert capsys.readouterr().err == \
+        f"error ValueError: {short}: truncated checkpoint\n"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("n_users=30\nn_pois=60\nn_regions=4\nn_business_areas=8\n"

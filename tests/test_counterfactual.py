@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import oracles
 from urbanrec import autodiff as ad
 from urbanrec import counterfactual as cf
 from urbanrec.propagation import FinalEmbeddings
@@ -30,15 +31,14 @@ def finals_from(u, p, u_g=None, p_g=None) -> FinalEmbeddings:
                            ad.Tensor(p), ad.Tensor(u), ad.Tensor(p))
 
 
-def pair_oracle(finals: FinalEmbeddings, u: int, p: int) -> cf.ScoreBundle:
-    """One pair's bundle from scalar loops over the embedding coordinates,
-    the reference being the plain average of the user's catalog matches."""
-    def dot(a, b):
-        return sum(a[i] * b[i] for i in range(len(a)))
-    U, P = finals.u.data, finals.p.data
-    ref = sum(dot(U[u], P[t]) for t in range(len(P))) / len(P)
-    return cf.bundle_scores(dot(U[u], P[p]),
-                            dot(finals.u_g.data[u], finals.p_g.data[p]), ref)
+def pair_oracle(finals: FinalEmbeddings, u: int, p: int) -> dict:
+    """One pair's scores from the scalar-loop oracle."""
+    return oracles.naive_pair_scores(finals.u.data, finals.p.data,
+                                     finals.u_g.data, finals.p_g.data, u, p)
+
+
+def catalog(finals: FinalEmbeddings, scorer: str, u: int = 0) -> np.ndarray:
+    return cf.score_catalog(finals, u, scorer)
 
 
 def test_score_match_zero_and_basis():
@@ -105,60 +105,84 @@ def test_p_mean_is_cached_outside_the_fields():
 
 
 def test_fuse_values():
-    assert cf.fuse(123.0, 0.0) == 0.0
-    assert abs(cf.fuse(1.0, 50.0) - 1.0) < 1e-12
-    assert abs(cf.fuse(2.0, 0.5) - 2.0 * np.tanh(0.5)) < 1e-12
+    # te is the fused product y_up * tanh(y_ug); a match of 123 with no geo
+    # signal, a unit match with a saturated gate, and 2 * tanh(0.5)
+    finals = finals_from([123.0, 0.0], [1.0, 0.0], u_g=[1.0, 0.0], p_g=[0.0, 1.0])
+    assert catalog(finals, "te")[0] == 0.0
+    finals = finals_from([1.0, 0.0], [1.0, 0.0], u_g=[50.0, 0.0], p_g=[1.0, 0.0])
+    assert abs(catalog(finals, "te")[0] - 1.0) < 1e-12
+    finals = finals_from([2.0, 0.0], [1.0, 0.0], u_g=[0.5, 0.0], p_g=[1.0, 0.0])
+    assert abs(catalog(finals, "te")[0] - 2.0 * np.tanh(0.5)) < 1e-12
 
 
 def test_tie_zero_when_poi_is_average():
-    b = cf.bundle_scores(y_up=0.7, y_ug=1.3, y_up_ref=0.7)
-    assert b.tie == 0.0
+    # POI 0 is the exact (dyadic) catalog mean, so its match is the reference
+    m, v = np.array([0.5, -0.25]), np.array([0.25, 0.5])
+    finals = finals_from([1.0, 2.0], np.stack([m, m + v, m - v]))
+    assert finals.u.data[0] @ finals.p_mean == finals.u.data[0] @ m
+    assert catalog(finals, "tie")[0] == 0.0
 
 
 def test_tie_zero_when_no_geo_signal():
-    b = cf.bundle_scores(y_up=2.0, y_ug=0.0, y_up_ref=0.5)
-    assert b.tie == 0.0
+    rng = np.random.default_rng(9)
+    finals = finals_from(rng.normal(size=2), rng.normal(size=(6, 2)),
+                         u_g=[1.0, 0.0], p_g=np.tile([0.0, 1.0], (6, 1)))
+    assert np.all(catalog(finals, "tie") == 0.0)
 
 
 def test_tie_closed_form_example():
-    b = cf.bundle_scores(y_up=1.0, y_ug=2.0, y_up_ref=0.25)
-    assert abs(b.tie - 0.75 * np.tanh(2.0)) < 1e-12
+    # y_up = 1 for POI 0, reference (1 - 0.5) / 2 = 0.25, y_ug = 1 + 1 = 2
+    finals = finals_from([1.0, 0.0], [[1.0, 0.0], [-0.5, 0.0]])
+    assert abs(catalog(finals, "tie")[0] - 0.75 * np.tanh(2.0)) < 1e-12
 
 
-def test_bundle_invariants_random():
+def test_catalog_invariants_random():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        y_up, y_ug, ref = rng.normal(scale=3.0, size=3)
-        b = cf.bundle_scores(y_up, y_ug, ref)
-        assert abs(b.y_fused - y_up * np.tanh(y_ug)) < 1e-12
-        assert abs(b.tie - (y_up - ref) * np.tanh(y_ug)) < 1e-10
-        assert abs(b.te - b.y_fused) < 1e-15
-        assert abs(b.tie - (b.te - b.nde)) < 1e-12
+    for _ in range(20):
+        finals = make_finals(rng, n_users=4, n_pois=10)
+        for u in range(4):
+            y_up = catalog(finals, "y_up", u)
+            gate = np.tanh(finals.p_g.data @ finals.u_g.data[u])
+            ref = np.mean(finals.p.data @ finals.u.data[u])
+            te, tie = catalog(finals, "te", u), catalog(finals, "tie", u)
+            np.testing.assert_allclose(te, y_up * gate, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tie, (y_up - ref) * gate, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(tie, te - ref * gate, rtol=0, atol=1e-12)
 
 
 def test_tie_monotone_in_y_up():
-    ties = [cf.bundle_scores(y, 0.8, 0.1).tie for y in np.linspace(-2, 2, 9)]
-    assert all(b > a for a, b in zip(ties, ties[1:]))
+    # nine POIs whose matches run from -2 to 2 behind the same gate tanh(0.8)
+    pois = np.stack([np.linspace(-2, 2, 9), np.zeros(9)], axis=1)
+    finals = finals_from([1.0, 0.0], pois, u_g=[0.8, 0.0],
+                         p_g=np.tile([1.0, 0.0], (9, 1)))
+    ties = catalog(finals, "tie")
+    assert np.all(np.diff(ties) > 0)
 
 
 def test_tie_sign_flip_with_y_ug():
-    b_pos = cf.bundle_scores(1.5, 0.7, 0.2)
-    b_neg = cf.bundle_scores(1.5, -0.7, 0.2)
-    assert abs(b_pos.tie + b_neg.tie) < 1e-12
+    # the same POI twice, once behind y_ug = 0.7 and once behind -0.7
+    finals = finals_from([1.5, 0.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                         u_g=[1.0, 0.0], p_g=[[0.7, 0.0], [-0.7, 0.0], [0.0, 0.0]])
+    tie = catalog(finals, "tie")
+    assert tie[0] != 0.0
+    assert abs(tie[0] + tie[1]) < 1e-12
 
 
 def test_reference_shift_invariance():
+    # adding c to every POI's match moves the reference by c as well
     rng = np.random.default_rng(3)
     y_ups = rng.normal(size=10)
-    ref = y_ups.mean()
-    y_ug = 0.9
     c = 5.0
-    base = [cf.bundle_scores(y, y_ug, ref).tie for y in y_ups]
-    shifted = [cf.bundle_scores(y + c, y_ug, ref + c).tie for y in y_ups]
-    np.testing.assert_allclose(base, shifted, atol=1e-9)
+    p_g = np.tile([0.9, 0.0], (10, 1))
+    base = finals_from([1.0, 1.0], np.stack([y_ups, np.zeros(10)], axis=1),
+                       u_g=[1.0, 0.0], p_g=p_g)
+    shifted = finals_from([1.0, 1.0], np.stack([y_ups, np.full(10, c)], axis=1),
+                          u_g=[1.0, 0.0], p_g=p_g)
+    np.testing.assert_allclose(catalog(base, "tie"), catalog(shifted, "tie"),
+                               atol=1e-9)
 
 
-def test_tie_score_bundle_matches_manual():
+def test_tie_scores_match_manual():
     rng = np.random.default_rng(4)
     finals = make_finals(rng)
     ref = np.mean([np.dot(finals.u.data[1], finals.p.data[t]) for t in range(5)])
@@ -176,8 +200,8 @@ def test_te_ranking_equals_fused_ranking():
     rng = np.random.default_rng(5)
     finals = make_finals(rng, n_pois=10)
     tes = cf.score_candidates(finals, 0, np.arange(10), "te")
-    fused = np.array([cf.fuse(np.dot(finals.u.data[0], finals.p.data[p]),
-                              np.dot(finals.u_g.data[0], finals.p_g.data[p]))
+    fused = np.array([np.dot(finals.u.data[0], finals.p.data[p])
+                      * np.tanh(np.dot(finals.u_g.data[0], finals.p_g.data[p]))
                       for p in range(10)])
     np.testing.assert_array_equal(np.argsort(-tes), np.argsort(-fused))
     np.testing.assert_allclose(tes, fused, atol=1e-12)
@@ -192,9 +216,9 @@ def test_score_candidates_matches_pairwise():
     up_vec = cf.score_candidates(finals, 2, cand, "y_up")
     for i, p in enumerate(cand):
         b = pair_oracle(finals, 2, int(p))
-        assert abs(tie_vec[i] - b.tie) < 1e-12
-        assert abs(te_vec[i] - b.te) < 1e-12
-        assert abs(up_vec[i] - b.y_up) < 1e-12
+        assert abs(tie_vec[i] - b["tie"]) < 1e-12
+        assert abs(te_vec[i] - b["te"]) < 1e-12
+        assert abs(up_vec[i] - b["y_up"]) < 1e-12
 
 
 def test_score_candidates_rejects_unknown_scorer():

@@ -214,6 +214,16 @@ def test_evaluate_empty_test_split():
     assert report.recall[20] is None
 
 
+def test_evaluate_rejects_unknown_scorer_before_targets():
+    # a split with no targets must not hide the unknown scorer behind an
+    # undefined report
+    mk = lambda ps: InteractionSet(2, 4, frozenset(ps))
+    split = DatasetSplit(mk({(0, 0), (1, 1)}), mk(set()), mk(set()))
+    finals = finals_from_scores(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="unknown scorer 'magic'"):
+        ev.evaluate(finals, split, scorer="magic")
+
+
 def test_evaluate_oracle_scorer_perfect_ndcg():
     # scorer puts all test positives first: ndcg=1, recall = 1 when K covers
     scores = np.zeros((1, 30))

@@ -171,6 +171,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
         md.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_truncation(tmp_path):
+    p = md.init_params(DIMS, seed=0)
+    path = tmp_path / "ck.bin"
+    md.save_checkpoint(p, str(path))
+    blob = path.read_bytes()
+    # a header cut after the magic, and a body 8 bytes short
+    for cut in (blob[:6], blob[:-8]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match=f"^{path}: truncated checkpoint$"):
+            md.load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    p = md.init_params(DIMS, seed=0)
+    path = tmp_path / "ck.bin"
+    md.save_checkpoint(p, str(path))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="trailing bytes in checkpoint$"):
+        md.load_checkpoint(str(path))
+
+
 def test_params_copy_is_deep():
     p = md.init_params(DIMS, seed=0)
     q = p.copy()
