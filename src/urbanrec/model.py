@@ -4,8 +4,8 @@ Users and POIs carry two embedding chunks of size d each: a geographical one
 trained against the geographical subgraph and a functional one trained
 against the functional subgraph.  Each chunk's table also holds that side's
 non-POI entities, laid out [users, POIs, entities].  Intents are softmax
-mixtures over relation embeddings; their mixture scores S start at zero so
-attention begins uniform.
+mixtures over relation embeddings; all six tensors, the mixture scores S
+included, start Xavier-uniform, so the intents start distinct.
 """
 
 from __future__ import annotations
@@ -109,13 +109,11 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def init_params(dims: ModelDims, seed: int, blended: bool = False) -> ModelParams:
-    """Xavier-uniform embeddings, zero intent scores; deterministic per seed."""
+    """Xavier-uniform tensors, each on stream [seed, INIT_STREAM, its index]."""
     mats = {}
-    for k, name in enumerate(("E_g", "E_f", "R_g", "R_f")):
+    for k, name in enumerate(PARAM_NAMES):
         rng = np.random.default_rng(np.random.SeedSequence([seed, INIT_STREAM, k]))
         mats[name] = ad.Tensor(_xavier(rng, *dims.shapes[name]), requires_grad=True)
-    for name in ("S_g", "S_f"):
-        mats[name] = ad.Tensor(np.zeros(dims.shapes[name]), requires_grad=True)
     return ModelParams(dims, blended=blended, **mats)
 
 
@@ -183,7 +181,10 @@ def load_checkpoint(path: str) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     vals = struct.unpack_from("<10Q", blob, 9)
-    dims = ModelDims(**{f: int(v) for f, v in zip(_DIM_FIELDS, vals)})
+    try:
+        dims = ModelDims(**{f: int(v) for f, v in zip(_DIM_FIELDS, vals)})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     size = offset + 8 * sum(rows * cols for rows, cols in dims.shapes.values())
     if len(blob) != size:
         raise ValueError(f"{path}: truncated checkpoint" if len(blob) < size

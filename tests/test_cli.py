@@ -345,6 +345,7 @@ def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
     ("beta1", "1.0", "must be in [0, 1)"),
     ("beta2", "1.5", "must be in [0, 1)"),
     ("eps", "0", "must be > 0"),
+    ("lr", "nan", "must be finite"),
 ])
 def test_train_rejects_a_bad_optimizer_setting(tmp_path, capsys, field, value,
                                                 message):

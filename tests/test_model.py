@@ -1,5 +1,9 @@
 """Parameter init, intent attention, and checkpoint round-trip tests."""
 
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -60,11 +64,28 @@ def test_init_xavier_bound():
     assert np.abs(p.E_g.data).max() > 0.5 * bound  # actually fills the range
 
 
-def test_init_intent_scores_zero_gives_uniform_alpha():
+def test_init_intent_scores_xavier_with_distinct_rows():
+    # equal rows would give identical intents that get identical gradients
+    # and never separate
     p = md.init_params(DIMS, seed=0)
-    assert np.all(p.S_g.data == 0.0)
-    intents = md.intent_embeddings(p.S_g, p.R_g)
-    np.testing.assert_allclose(intents.alpha.data, np.full((2, 5), 0.2), atol=1e-12)
+    for S in (p.S_g.data, p.S_f.data):
+        bound = np.sqrt(6.0 / sum(S.shape))
+        assert np.all(np.abs(S) <= bound)
+        assert np.abs(S).max() > 0.5 * bound
+        assert len(np.unique(S, axis=0)) == S.shape[0]
+    alpha = md.intent_embeddings(p.S_g, p.R_g).alpha.data
+    assert np.ptp(alpha, axis=0).max() > 0.1
+
+
+def test_init_embeddings_and_relations_keep_their_streams():
+    # E_* and R_* are streams 0-3 of [seed, INIT_STREAM, k]; this pins
+    # their bytes so that adding or moving a tensor cannot shift them
+    p = md.init_params(DIMS, seed=0)
+    digest = hashlib.sha256()
+    for name in ("E_g", "E_f", "R_g", "R_f"):
+        digest.update(getattr(p, name).data.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "632c2782f1484287c0b3444bcfbd8cc9a9692e36898d2d3764fd60e60976eb3c")
 
 
 def test_intent_embeddings_uniform_two_relations():
@@ -189,6 +210,17 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     md.save_checkpoint(p, str(path))
     path.write_bytes(path.read_bytes() + bytes(8))
     with pytest.raises(ValueError, match="trailing bytes in checkpoint$"):
+        md.load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_invalid_header_dims_naming_the_file(tmp_path):
+    p = md.init_params(DIMS, seed=0)
+    path = tmp_path / "ck.bin"
+    md.save_checkpoint(p, str(path))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 9, 0)  # d, the first of the ten dims
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: d must be >= 1$"):
         md.load_checkpoint(str(path))
 
 

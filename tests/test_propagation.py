@@ -60,8 +60,6 @@ def random_setup(seed, n_users=3, n_pois=4, n_layers=2, n_intents=2, d=5):
     split = all_train_split(n_users, n_pois, pairs)
     dims = pg.dims_for(kg, split, d=d, n_intents=n_intents, n_layers=n_layers)
     params = md.init_params(dims, seed=seed)
-    params.S_g.data[:] = rng.uniform(-0.5, 0.5, size=params.S_g.shape)
-    params.S_f.data[:] = rng.uniform(-0.5, 0.5, size=params.S_f.shape)
     bundle = pg.build_graphs(kg, split)
     return kg, split, dims, params, bundle
 

@@ -268,6 +268,10 @@ def test_hyperparams_validation():
     for value in (0.0, -1e-8):
         with pytest.raises(ValueError, match="eps must be > 0"):
             tr.HyperParams(eps=value)
+    for field in ("lam_ind", "lam_reg", "cf_weight", "lr", "eps"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                tr.HyperParams(**{field: value})
     hp = tr.HyperParams(beta1=0.0, beta2=0.0, eps=1e-300, max_epochs=0)
     assert (hp.beta1, hp.beta2, hp.max_epochs) == (0.0, 0.0, 0)
 
@@ -340,6 +344,26 @@ def test_fit_returns_best_not_last():
     best, log = tr.fit(split, bundle, dims, hp, seed=2, val_metric_fn=stub)
     np.testing.assert_array_equal(best.E_g.data, snap["E_g"])
     assert len(log) == 4
+
+
+def test_fit_separates_intents_and_independence_loss_acts():
+    kg, iset, _ = generate_city(CityConfig(n_users=60, n_pois=240, seed=0))
+    split = split_dataset(iset, (0.8, 0.1, 0.1), seed=0)
+    bundle = build_graphs(kg, split)
+    dims = dims_for(kg, split, d=32, n_intents=4, n_layers=3)
+    final = {}
+    for lam_ind in (0.1, 0.0):
+        hp = tr.HyperParams(max_epochs=3, lam_ind=lam_ind, batch_size=256)
+        rising = iter(range(hp.max_epochs))  # so fit returns the last epoch
+        params, log = tr.fit(split, bundle, dims, hp, seed=0,
+                             val_metric_fn=lambda p: next(rising))
+        for S in (params.S_g.data, params.S_f.data):
+            gaps = [np.abs(S[i] - S[j]).max()
+                    for i in range(len(S)) for j in range(i)]
+            assert min(gaps) > 0.1
+        final[lam_ind] = log[-1]["l_ind_g"]
+    # identical intents would pin both at the maximum, C(4, 2) = 6
+    assert final[0.1] < final[0.0] < 6.0
 
 
 def test_fit_frees_each_step_tape(monkeypatch):
