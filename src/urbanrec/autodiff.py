@@ -386,16 +386,11 @@ def relational_spmm(op: RelationalOperator, x, r) -> Tensor:
     return _node(op.collapse @ gated, (x, r), bwd)
 
 
-def spmm(mat: sp.spmatrix, x, mat_t: sp.spmatrix | None = None) -> Tensor:
-    """Multiply a constant sparse matrix with a dense tensor.
-
-    ``mat_t`` may carry a precomputed transpose in CSR form; callers on hot
-    paths should supply it so the backward pass avoids re-transposing.
-    """
+def spmm(mat: sp.spmatrix, x, mat_t: sp.spmatrix) -> Tensor:
+    """Multiply a constant sparse matrix with a dense tensor; ``mat_t`` is
+    its transpose in CSR form, which the backward pass multiplies by."""
     x = astensor(x)
     out_data = mat @ x.data
-    if mat_t is None:
-        mat_t = mat.T.tocsr()
 
     def bwd(g):
         if x.requires_grad:

@@ -140,8 +140,12 @@ def _explicit(args, keys) -> dict:
 
 
 def _resolve(args, keys) -> dict:
-    return {**{name: default for name, _, default in keys},
-            **_explicit(args, keys)}
+    values = {**{name: default for name, _, default in keys},
+              **_explicit(args, keys)}
+    for name, value in values.items():
+        if name.endswith("seed") and value < 0:
+            raise UsageError(f"{name} must be >= 0, got {value}")
+    return values
 
 
 def _config_echo(keys, values) -> str:

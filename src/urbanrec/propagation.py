@@ -2,10 +2,10 @@
 
 Each layer adds a mean-aggregated message to the previous layer's embedding
 (a residual update).  POIs and entities aggregate relation-gated neighbor
-embeddings from their subgraph; users aggregate their training check-ins,
-gated by a personal attention mix over intents that is computed once from
-the layer-0 user embeddings.  The final user/POI embedding is the arithmetic
-mean of the geographical and functional chunks.
+embeddings from their subgraph; users aggregate their training check-ins
+straight from that side's node table, gated by a personal attention mix over
+intents computed once from the layer-0 user embeddings.  The final user/POI
+embedding is the arithmetic mean of the geographical and functional chunks.
 """
 
 from __future__ import annotations
@@ -34,20 +34,28 @@ class PropagationGraph:
     node) rows in (relation, destination) order; gated by their relation
     rows the blocks add up to the neighborhood mean of the messages, with
     empty neighborhoods contributing zero.  ``src`` keeps one entry per
-    directed edge.
+    directed edge.  ``user_agg`` (users x nodes, empty entity columns)
+    averages each user's train POIs; ``user_agg_t`` is its CSR transpose.
     """
 
     n_nodes: int
     n_pois: int
     src: np.ndarray
     op: ad.RelationalOperator
+    user_agg: sp.csr_matrix
+    user_agg_t: sp.csr_matrix
 
     @classmethod
-    def from_subgraph(cls, sub: SubGraph) -> "PropagationGraph":
+    def from_subgraph(cls, sub: SubGraph, split: DatasetSplit) -> "PropagationGraph":
         dst, src, rel = build_adjacency(sub)
         n_nodes = sub.n_pois + sub.entity_count
+        users, pois = split.train.ids.T
+        deg = np.bincount(users, minlength=split.n_users)
+        user_agg = sp.csr_matrix((1.0 / deg[users], (users, pois)),
+                                 shape=(split.n_users, n_nodes))
         return cls(n_nodes, sub.n_pois, src, ad.RelationalOperator.from_edges(
-            dst, src, rel, sub.n_relations, n_nodes))
+            dst, src, rel, sub.n_relations, n_nodes), user_agg,
+            user_agg.T.tocsr())
 
     def layer(self, X: ad.Tensor, R: ad.Tensor) -> ad.Tensor:
         """One residual update of all POI/entity rows; ``R`` is this side's
@@ -55,25 +63,14 @@ class PropagationGraph:
         return X + ad.relational_spmm(self.op, X, R)
 
 
-def _user_aggregation(split: DatasetSplit) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(n_users x n_pois) matrix with 1/|train positives of u| entries."""
-    users, pois = split.train.ids.T
-    deg = np.bincount(users, minlength=split.n_users)
-    mat = sp.csr_matrix((1.0 / deg[users], (users, pois)),
-                        shape=(split.n_users, split.n_pois))
-    return mat, mat.T.tocsr()
-
-
 @dataclass
 class GraphBundle:
-    """Everything forward() needs besides the parameters."""
+    """Everything forward() needs besides the parameters: one graph per
+    side (the same object on both when blended)."""
 
     geo: PropagationGraph
     func: PropagationGraph
-    user_agg: sp.csr_matrix
-    user_agg_t: sp.csr_matrix
     n_users: int
-    n_pois: int
     blended: bool = False
 
 
@@ -98,11 +95,10 @@ def build_graphs(kg: UrbanKG, split: DatasetSplit,
         raise ValueError(
             f"kg has {kg.n_pois} POIs but interactions have {split.n_pois}")
     geo_sub, func_sub = side_subgraphs(kg, blended)
-    geo = PropagationGraph.from_subgraph(geo_sub)
-    func = geo if func_sub is geo_sub else PropagationGraph.from_subgraph(func_sub)
-    user_agg, user_agg_t = _user_aggregation(split)
-    return GraphBundle(geo, func, user_agg, user_agg_t,
-                       split.n_users, split.n_pois, blended)
+    geo = PropagationGraph.from_subgraph(geo_sub, split)
+    func = geo if func_sub is geo_sub else \
+        PropagationGraph.from_subgraph(func_sub, split)
+    return GraphBundle(geo, func, split.n_users, blended)
 
 
 def dims_for(kg: UrbanKG, split: DatasetSplit, d: int = 32, n_intents: int = 4,
@@ -133,52 +129,26 @@ class FinalEmbeddings:
         return self.p.data.mean(axis=0)
 
 
-@dataclass
-class LayerTrace:
-    """Per-layer states for oracle comparison: lists of (users, kg_nodes)."""
-
-    geo: list
-    func: list
-
-
 def _propagate_side(E: ad.Tensor, S: ad.Tensor, R: ad.Tensor,
-                    graph: PropagationGraph, bundle: GraphBundle,
-                    n_layers: int, trace: list | None):
-    n_users = bundle.n_users
-    n_pois = bundle.n_pois
+                    graph: PropagationGraph, n_users: int, n_layers: int):
     U = ad.rows(E, 0, n_users)
     X = ad.rows(E, n_users, E.shape[0])
     intents = intent_embeddings(S, R)
     beta = user_intent_attention(U, intents)  # fixed at layer 0, reused below
     gate = (beta @ intents.embeddings) * (1.0 / intents.n_intents)
-    if trace is not None:
-        trace.append((U.data.copy(), X.data.copy()))
     for _ in range(n_layers):
-        P_prev = ad.rows(X, 0, n_pois)
-        X_next = graph.layer(X, R)
-        U_next = U + ad.spmm(bundle.user_agg, P_prev, bundle.user_agg_t) * gate
-        U, X = U_next, X_next
-        if trace is not None:
-            trace.append((U.data.copy(), X.data.copy()))
-    return U, ad.rows(X, 0, n_pois), intents
+        U, X = U + ad.spmm(graph.user_agg, X, graph.user_agg_t) * gate, \
+            graph.layer(X, R)
+    return U, ad.rows(X, 0, graph.n_pois)
 
 
-def forward(params: ModelParams, bundle: GraphBundle,
-            return_trace: bool = False):
-    """Run all layers on both sides and average them into the fused rows.
-
-    Returns FinalEmbeddings, or (FinalEmbeddings, LayerTrace) when tracing.
-    The trace holds raw per-layer arrays for oracle tests.
-    """
-    dims = params.dims
-    trace_g: list | None = [] if return_trace else None
-    trace_f: list | None = [] if return_trace else None
-    u_g, p_g, _ = _propagate_side(params.E_g, params.S_g, params.R_g,
-                                  bundle.geo, bundle, dims.n_layers, trace_g)
-    u_f, p_f, _ = _propagate_side(params.E_f, params.S_f, params.R_f,
-                                  bundle.func, bundle, dims.n_layers, trace_f)
-    finals = FinalEmbeddings(u_g, u_f, p_g, p_f,
-                             (u_g + u_f) * 0.5, (p_g + p_f) * 0.5)
-    if return_trace:
-        return finals, LayerTrace(trace_g, trace_f)
-    return finals
+def forward(params: ModelParams, bundle: GraphBundle) -> FinalEmbeddings:
+    """Run ``params.dims.n_layers`` layers on both sides and average the
+    last layer's chunks into the fused rows."""
+    n_layers = params.dims.n_layers
+    u_g, p_g = _propagate_side(params.E_g, params.S_g, params.R_g, bundle.geo,
+                               bundle.n_users, n_layers)
+    u_f, p_f = _propagate_side(params.E_f, params.S_f, params.R_f, bundle.func,
+                               bundle.n_users, n_layers)
+    return FinalEmbeddings(u_g, u_f, p_g, p_f,
+                           (u_g + u_f) * 0.5, (p_g + p_f) * 0.5)

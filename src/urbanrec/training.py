@@ -68,6 +68,8 @@ class HyperParams:
             raise ValueError("lr must be > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if min(self.lam_ind, self.lam_reg, self.cf_weight) < 0:
@@ -179,21 +181,19 @@ def total_loss(users, pos, neg, params: ModelParams, finals: FinalEmbeddings,
 
 
 def compute_loss(params: ModelParams, bundle: GraphBundle, users, pos, neg,
-                 hp: HyperParams) -> tuple[LossBreakdown, FinalEmbeddings]:
+                 hp: HyperParams) -> LossBreakdown:
     """Forward propagation plus the full objective, on one tape."""
     finals = forward(params, bundle)
     intents_g = intent_embeddings(params.S_g, params.R_g)
     intents_f = intent_embeddings(params.S_f, params.R_f)
-    breakdown = total_loss(users, pos, neg, params, finals,
-                           intents_g, intents_f, hp)
-    return breakdown, finals
+    return total_loss(users, pos, neg, params, finals, intents_g, intents_f, hp)
 
 
 def backward(params: ModelParams, bundle: GraphBundle, users, pos, neg,
              hp: HyperParams) -> tuple[dict, LossBreakdown]:
     """Gradients of the total loss for every parameter tensor."""
     params.zero_grad()
-    breakdown, _ = compute_loss(params, bundle, users, pos, neg, hp)
+    breakdown = compute_loss(params, bundle, users, pos, neg, hp)
     breakdown.total.backward()
     grads: dict = {}
     for name, t in params.named_tensors():
@@ -383,8 +383,7 @@ def run_gradcheck(step: float = 1e-4, threshold: float = 1e-4,
         grads[corrupt] = grads[corrupt] + 1.0
 
     def loss_at() -> float:
-        breakdown, _ = compute_loss(params, bundle, users, pos, neg, hp)
-        return float(breakdown.total.data)
+        return float(compute_loss(params, bundle, users, pos, neg, hp).total.data)
 
     checks = []
     for name, tensor in params.named_tensors():

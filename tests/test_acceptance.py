@@ -130,8 +130,8 @@ def test_criterion_5_propagation_matches_naive_oracle():
         kg, split, dims, params, bundle = pg_fixtures.random_setup(
             seed=g, n_users=2 + g % 3, n_pois=2 + g % 7,
             n_layers=1 + g % 3, n_intents=1 + g % 3, d=3 + g % 4)
-        finals, trace = pg.forward(params, bundle, return_trace=True)
-        for side, side_trace in (("geo", trace.geo), ("func", trace.func)):
+        for side in ("geo", "func"):
+            side_trace = pg_fixtures.side_states(params, bundle, side)
             states = pg_fixtures.oracle_side_states(kg, split, params, side,
                                                     dims.n_layers)
             assert len(side_trace) == len(states) == dims.n_layers + 1

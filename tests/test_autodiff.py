@@ -107,8 +107,9 @@ def test_gather_repeated_rows():
 
 def test_spmm():
     mat = sp.random(5, 3, density=0.6, random_state=7, format="csr")
+    mat_t = mat.T.tocsr()
     w = RNG.normal(size=(5, 2))
-    check(lambda t: (ad.spmm(mat, t) * w).sum(), RNG.normal(size=(3, 2)))
+    check(lambda t: (ad.spmm(mat, t, mat_t) * w).sum(), RNG.normal(size=(3, 2)))
 
 
 def test_spmm_with_cached_transpose():

@@ -346,6 +346,7 @@ def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
     ("beta2", "1.5", "must be in [0, 1)"),
     ("eps", "0", "must be > 0"),
     ("lr", "nan", "must be finite"),
+    ("max_epochs", "-2", "must be >= 0"),
 ])
 def test_train_rejects_a_bad_optimizer_setting(tmp_path, capsys, field, value,
                                                 message):
@@ -353,9 +354,34 @@ def test_train_rejects_a_bad_optimizer_setting(tmp_path, capsys, field, value,
     capsys.readouterr()
     assert run("train", "--data", str(tmp_path / "city"),
                "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
-               f"--{field}", value) == 1
+               "--" + field.replace("_", "-"), value) == 1
     assert capsys.readouterr().err == f"error ValueError: {field} {message}\n"
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+SEED_OPTIONS = [(command, name)
+                for command, keys in (("gen", cli.GEN_KEYS),
+                                      ("train", cli.TRAIN_KEYS),
+                                      ("eval", cli.EVAL_KEYS),
+                                      ("ablate", cli.ABLATE_KEYS),
+                                      ("gradcheck", cli.GRADCHECK_KEYS))
+                for name, _, _ in keys if name.endswith("seed")]
+
+
+@pytest.mark.parametrize("command,name", SEED_OPTIONS)
+def test_a_negative_seed_is_a_usage_error_naming_the_option(
+        tmp_path, capsys, command, name):
+    paths = {"gen": ["--out", str(tmp_path / "out")],
+             "eval": ["--data", str(tmp_path / "city"),
+                      "--checkpoint", str(tmp_path / "ckpt.bin")],
+             "gradcheck": []}.get(
+        command, ["--data", str(tmp_path / "city"), "--out", str(tmp_path / "out")])
+    flag = "--" + name.replace("_", "-")
+    assert run(command, *paths, flag, "-3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error UsageError: {name} must be >= 0, got -3\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_invocation_subprocess():

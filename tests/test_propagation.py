@@ -1,5 +1,7 @@
 """Propagation layer tests against the brute-force oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,20 +78,36 @@ def oracle_side_states(kg, split, params, side, n_layers):
                                      split.n_users, n_layers)
 
 
+def side_states(params, bundle, side):
+    """(users, node table) of one side at every depth 0..n_layers: users and
+    POIs from forward run to that depth, entity rows from ``graph.layer``
+    applied that many times to the layer-0 node table."""
+    dims = params.dims
+    graph = bundle.geo if side == "geo" else bundle.func
+    E, R = (params.E_g, params.R_g) if side == "geo" else (params.E_f, params.R_f)
+    X = ad.Tensor(E.data[bundle.n_users:])
+    states = []
+    for depth in range(dims.n_layers + 1):
+        cut = dataclasses.replace(
+            params, dims=dataclasses.replace(dims, n_layers=depth))
+        finals = pg.forward(cut, bundle)
+        U, P = (finals.u_g, finals.p_g) if side == "geo" else \
+            (finals.u_f, finals.p_f)
+        states.append((U.data, np.vstack([P.data, X.data[graph.n_pois:]])))
+        X = graph.layer(X, R)
+    return states
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_forward_matches_oracle_every_layer(seed):
     kg, split, dims, params, bundle = random_setup(seed)
-    finals, trace = pg.forward(params, bundle, return_trace=True)
-    for side, tr in (("geo", trace.geo), ("func", trace.func)):
+    for side in ("geo", "func"):
+        got = side_states(params, bundle, side)
         states = oracle_side_states(kg, split, params, side, dims.n_layers)
-        assert len(tr) == len(states) == dims.n_layers + 1
-        for (U_b, X_b), (U_o, X_o) in zip(tr, states):
+        assert len(got) == len(states) == dims.n_layers + 1
+        for (U_b, X_b), (U_o, X_o) in zip(got, states):
             np.testing.assert_allclose(U_b, U_o, atol=1e-10)
             np.testing.assert_allclose(X_b, X_o, atol=1e-10)
-    # finals equal last trace states
-    np.testing.assert_allclose(finals.u_g.data, trace.geo[-1][0], atol=0)
-    np.testing.assert_allclose(finals.p_g.data,
-                               trace.geo[-1][1][:split.n_pois], atol=0)
 
 
 def test_zero_layers_is_identity():
@@ -257,7 +275,8 @@ def test_relational_operator_keeps_non_empty_rows_in_stacked_order(side):
     geo, func = ukg.split_subgraphs(kg)
     sub = {"geo": geo, "func": func, "blended": ukg.blended_subgraph(kg)}[side]
     dst, src, rel = ukg.build_adjacency(sub)
-    op = pg.PropagationGraph.from_subgraph(sub).op
+    op = pg.PropagationGraph.from_subgraph(
+        sub, all_train_split(1, kg.n_pois, set())).op
     n, m = op.n, op.rows.shape[0]
     pairs = np.unique(np.stack([rel, dst], axis=1), axis=0)  # sorted (rel, dst)
     assert m == len(pairs) == len(op.row_dst)
@@ -274,7 +293,8 @@ def test_relational_operator_keeps_non_empty_rows_in_stacked_order(side):
     assert np.all(np.abs(out[:n]).sum(axis=1) > 0)
 
 
-def test_training_tape_holds_no_per_edge_array():
+def _default_city_tape():
+    """A training step's tape on the default city, and its graphs."""
     kg, iset, _ = generate_city(CityConfig(seed=0))
     split = split_dataset(iset, (0.8, 0.1, 0.1), seed=0)
     bundle = pg.build_graphs(kg, split)
@@ -283,16 +303,46 @@ def test_training_tape_holds_no_per_edge_array():
     batch = sample_bpr_batch(split, 1024, np.random.default_rng(0))
     _, breakdown = tr.backward(params, bundle, *batch_arrays(batch),
                                tr.HyperParams())
-    edge_counts = {len(bundle.geo.src), len(bundle.func.src)}
-    assert min(edge_counts) > 1024  # no batch array can collide
-    seen, stack, rows_on_tape = set(), [breakdown.total], set()
+    seen, stack, nodes = set(), [breakdown.total], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node.ndim:
-            rows_on_tape.add(node.shape[0])
+        nodes.append(node)
         stack.extend(node._parents)
-    assert len(seen) > 100
+    return nodes, bundle, dims
+
+
+def test_training_tape_holds_no_per_edge_array():
+    nodes, bundle, _ = _default_city_tape()
+    edge_counts = {len(bundle.geo.src), len(bundle.func.src)}
+    assert min(edge_counts) > 1024  # no batch array can collide
+    rows_on_tape = {node.shape[0] for node in nodes if node.ndim}
+    assert len(nodes) > 100
     assert not rows_on_tape & edge_counts
+
+
+def test_training_tape_slices_rows_only_outside_the_layers():
+    # per side: users and node table cut from E, and the last layer's POIs;
+    # plus one slice per intent in the independence loss.  No layer cuts.
+    nodes, _, dims = _default_city_tape()
+    slices = [n for n in nodes
+              if n._bwd is not None and n._bwd.__qualname__.startswith("rows.")]
+    assert dims.n_layers == 3
+    assert len(slices) == 2 * 3 + dims.n_intents_geo + dims.n_intents_func == 14
+
+
+@pytest.mark.parametrize("blended", [False, True])
+def test_user_aggregation_reads_the_side_node_table(blended):
+    kg, _, _, _, _ = random_setup(15, n_pois=6)
+    split = all_train_split(4, 6, {(0, 0), (0, 3), (0, 5), (2, 1), (3, 1)})
+    bundle = pg.build_graphs(kg, split, blended=blended)
+    for graph in (bundle.geo, bundle.func):
+        agg = graph.user_agg
+        assert agg.shape == (split.n_users, graph.n_nodes)
+        assert graph.n_nodes > graph.n_pois
+        assert agg[:, graph.n_pois:].nnz == 0
+        assert (graph.user_agg_t != agg.T).nnz == 0
+        sums = np.asarray(agg.sum(axis=1)).ravel()
+        np.testing.assert_allclose(sums, [1.0, 0.0, 1.0, 1.0], rtol=1e-15)

@@ -136,7 +136,7 @@ def test_bpr_doubled_batch_doubles_loss():
 
 def test_total_loss_decomposition():
     params, bundle, (users, pos, neg), hp = tr.tiny_instance()
-    breakdown, _ = tr.compute_loss(params, bundle, users, pos, neg, hp)
+    breakdown = tr.compute_loss(params, bundle, users, pos, neg, hp)
     f = breakdown.floats()
     want = f["l_f"] + hp.lam_ind * (f["l_ind_g"] + f["l_ind_f"]) \
         + hp.lam_reg * f["l_reg"] + hp.cf_weight * (f["l_c"] + hp.lam_reg * f["l_reg_g"])
@@ -146,7 +146,7 @@ def test_total_loss_decomposition():
 def test_total_loss_lambda_zero_reduces_to_factual():
     params, bundle, (users, pos, neg), _ = tr.tiny_instance()
     hp0 = tr.HyperParams(lam_ind=0.0, lam_reg=0.0, cf_weight=0.0)
-    breakdown, _ = tr.compute_loss(params, bundle, users, pos, neg, hp0)
+    breakdown = tr.compute_loss(params, bundle, users, pos, neg, hp0)
     f = breakdown.floats()
     assert abs(f["total"] - f["l_f"]) < 1e-12
 
@@ -155,7 +155,7 @@ def test_total_loss_zero_params():
     params, bundle, (users, pos, neg), hp = tr.tiny_instance()
     for _, t in params.named_tensors():
         t.data[:] = 0.0
-    breakdown, _ = tr.compute_loss(params, bundle, users, pos, neg, hp)
+    breakdown = tr.compute_loss(params, bundle, users, pos, neg, hp)
     f = breakdown.floats()
     want = len(users) * np.log(2.0) * (1.0 + hp.cf_weight)
     assert abs(f["total"] - want) < 1e-10
@@ -262,6 +262,8 @@ def test_hyperparams_validation():
         tr.HyperParams(patience=0)
     with pytest.raises(ValueError):
         tr.HyperParams(lam_ind=-0.1)
+    with pytest.raises(ValueError, match="^max_epochs must be >= 0$"):
+        tr.HyperParams(max_epochs=-1)
     for field, value in (("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5)):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be in [0, 1)")):
             tr.HyperParams(**{field: value})
@@ -414,7 +416,7 @@ def _default_city_step():
 
 def test_backward_matches_a_retaining_walk():
     params, bundle, batch, hp = _default_city_step()
-    breakdown, _ = tr.compute_loss(params, bundle, *batch, hp)
+    breakdown = tr.compute_loss(params, bundle, *batch, hp)
     oracles.retaining_backward(breakdown.total)
     want = {name: t.grad for name, t in params.named_tensors()}
     grads, _ = tr.backward(params, bundle, *batch, hp)
@@ -430,7 +432,7 @@ def test_backward_peak_stays_near_the_forward_tape():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        breakdown, _ = tr.compute_loss(params, bundle, *batch, hp)
+        breakdown = tr.compute_loss(params, bundle, *batch, hp)
         tape = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         breakdown.total.backward()
