@@ -2,12 +2,19 @@
 
 Every user with test targets ranks the whole catalog minus their already
 known positives (train and validation); ties break toward the smaller POI
-id so runs are reproducible.  evaluate holds one catalog row of scores at a
-time and finds each target's rank by counting, so its memory does not grow
-with the number of users.  It counts the targets best first and stops at the
-first one ranked past every K, so a user with many targets costs a few
-counting passes.  AUC draws one uniform negative per positive, rejected
-against the user's full positive set, from a seed-tagged stream.
+id so runs are reproducible.  evaluate scores its users in blocks of
+BLOCK_USERS rows, one counterfactual.score_users call each, so the catalog
+is read once per block; its memory is a few blocks of scores, whatever the
+number of users.  It finds each target's rank by counting, and counts the
+targets best first, stopping at the first one ranked past every K, so a
+user with many targets costs a few counting passes.  AUC draws one uniform
+negative per positive, rejected against the user's full positive set, from
+a seed-tagged stream.
+
+A user scored in a block of two or more goes through BLAS's matrix-matrix
+product, and rank_candidates's single user through its matrix-vector
+product; their scores may differ in the last bit, which moves no rank short
+of a near-tie.
 
 Functional NDCG is this same evaluate over GroundTruth.functional_split,
 whose test view holds every user's top-affinity POIs and whose train and
@@ -19,15 +26,21 @@ benchmark check evaluate against.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counterfactual import SCORERS, score_candidates, score_catalog
+from .counterfactual import SCORERS, score_candidates, score_users
 from .interactions import DatasetSplit, sample_negatives
 from .propagation import FinalEmbeddings
 
 AUC_STREAM = 41
+
+# users scored per score_users call: a row count, not a byte budget, since a
+# budget shrinks the block to a few rows on a large catalog and loses the
+# matrix-matrix product's gain
+BLOCK_USERS = 32
 
 DEFAULT_KS = (20, 40, 60)
 
@@ -47,38 +60,46 @@ def rank_candidates(user: int, finals: FinalEmbeddings, scorer: str,
     return candidates[np.argsort(neg, kind="stable")]
 
 
-def _recall_ndcg(ranks: np.ndarray, count: int, k: int) -> tuple:
-    """Recall@k and binary NDCG@k from the sorted 1-based ranks of a user's
-    positives (those past k may be left out) and how many positives there are.
+def _ideal_dcg(max_count: int) -> np.ndarray:
+    """Ideal binary DCG of 1..max_count positives: entry c - 1 holds that
+    of c positives, summed left to right."""
+    return np.cumsum(1.0 / np.log2(np.arange(2, max_count + 2)))
+
+
+def _recall_ndcg(ranks: list, count: int, ks, ideal: np.ndarray) -> list:
+    """(Recall@k, binary NDCG@k) for each k of ``ks``, from the ascending
+    1-based ranks of a user's positives (those past every k may be left
+    out), how many positives there are, and an ``_ideal_dcg`` table of at
+    least ``count`` entries.
 
     The ideal DCG spans the full positive set rather than stopping at k, so
-    NDCG@K is monotone non-decreasing in K, matching Recall@K.  Both DCG sums
-    add left to right, rank by rank.
+    NDCG@K is monotone non-decreasing in K, matching Recall@K.  One
+    cumulative sum over the ranks adds left to right, rank by rank, so its
+    entry h - 1 is exactly the DCG of the first h ranks.
     """
-    within = ranks[ranks <= k]
-    dcg = np.cumsum(1.0 / np.log2(within + 1))[-1] if len(within) else 0.0
-    idcg = np.cumsum(1.0 / np.log2(np.arange(2, count + 2)))[-1]
-    return len(within) / count, dcg / idcg
+    dcg = np.cumsum(1.0 / np.log2(np.array(ranks, dtype=np.int64) + 1))
+    hits = [bisect_right(ranks, k) for k in ks]
+    return [(h / count, (dcg[h - 1] if h else 0.0) / ideal[count - 1])
+            for h in hits]
 
 
-def _hit_ranks(ranked: np.ndarray, positives, k: int) -> tuple:
-    """1-based ranks of the positives among ``ranked[:k]``, and their count."""
+def _at_k(ranked: np.ndarray, positives, k: int) -> tuple:
+    """Recall@k and NDCG@k of a ranked list against a positive set."""
     pos = set(int(p) for p in positives)
     if not pos:
         raise EmptyTestSet("no test positives for this user")
     top = np.asarray(ranked[:k], dtype=np.int64).tolist()
-    ranks = np.array([r for r, p in enumerate(top, start=1) if p in pos],
-                     dtype=np.int64)
-    return ranks, len(pos)
+    ranks = [r for r, p in enumerate(top, start=1) if p in pos]
+    return _recall_ndcg(ranks, len(pos), (k,), _ideal_dcg(len(pos)))[0]
 
 
 def recall_at_k(ranked: np.ndarray, positives, k: int) -> float:
-    return _recall_ndcg(*_hit_ranks(ranked, positives, k), k)[0]
+    return _at_k(ranked, positives, k)[0]
 
 
 def ndcg_at_k(ranked: np.ndarray, positives, k: int) -> float:
     """Binary NDCG with the ideal DCG taken over the full positive set."""
-    return float(_recall_ndcg(*_hit_ranks(ranked, positives, k), k)[1])
+    return float(_at_k(ranked, positives, k)[1])
 
 
 def pair_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
@@ -148,44 +169,50 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
         raise ValueError(f"target must be 'test' or 'val', got {target!r}")
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
+    shape = (finals.u.data.shape[0], finals.p.data.shape[0])
+    if shape != (split.n_users, split.n_pois):
+        raise ValueError(f"finals hold (users, POIs) = {shape} but the split "
+                         f"has {(split.n_users, split.n_pois)}")
     ks = tuple(ks)
     k_max = max(ks, default=0)
     target_set = split.test if target == "test" else split.val
-    users = np.flatnonzero(np.diff(target_set.indptr)).tolist()
+    counts = np.diff(target_set.indptr)
+    users = np.flatnonzero(counts).tolist()
     if not users:
         return MetricsReport(recall={k: None for k in ks},
                              ndcg={k: None for k in ks}, auc=None,
                              n_users_evaluated=0, scorer=scorer, target=target,
                              seed=seed, defined=False)
+    ideal = _ideal_dcg(int(counts.max()))
     recall_acc = {k: 0.0 for k in ks}
     ndcg_acc = {k: 0.0 for k in ks}
     auc_acc = 0.0
-    for u in users:
-        row = score_catalog(finals, u, scorer)
-        targets = target_set.user_pois(u)
-        pos_scores = row[targets]
-        if with_auc:
-            negs = sample_auc_negatives(split, u, len(targets), seed)
-            auc_acc += pair_auc(pos_scores, row[negs])
-        row[split.train.user_pois(u)] = -np.inf
-        if target == "test":
-            row[split.val.user_pois(u)] = -np.inf
-        # the rank rank_candidates gives a target: one plus the candidates
-        # scoring higher, plus those tied with it that have a smaller id.
-        # Targets taken best first (targets are ascending ids) get rising
-        # ranks, so the first one past every k ends the count.
-        order = np.argsort(-pos_scores, kind="stable")
-        ranks = []
-        for t, s in zip(targets[order].tolist(), pos_scores[order].tolist()):
-            rank = 1 + np.count_nonzero(row > s) + np.count_nonzero(row[:t] == s)
-            if rank > k_max:
-                break
-            ranks.append(rank)
-        ranks = np.array(ranks, dtype=np.int64)
-        for k in ks:
-            recall, ndcg = _recall_ndcg(ranks, len(targets), k)
-            recall_acc[k] += recall
-            ndcg_acc[k] += ndcg
+    for start in range(0, len(users), BLOCK_USERS):
+        block = users[start:start + BLOCK_USERS]
+        for u, row in zip(block, score_users(finals, block, scorer)):
+            targets = target_set.user_pois(u)
+            pos_scores = row[targets]
+            if with_auc:
+                negs = sample_auc_negatives(split, u, len(targets), seed)
+                auc_acc += pair_auc(pos_scores, row[negs])
+            row[split.train.user_pois(u)] = -np.inf
+            if target == "test":
+                row[split.val.user_pois(u)] = -np.inf
+            # the rank rank_candidates gives a target: one plus the candidates
+            # scoring higher, plus those tied with it that have a smaller id.
+            # Targets taken best first (targets are ascending ids) get rising
+            # ranks, so the first one past every k ends the count.
+            order = np.argsort(-pos_scores, kind="stable")
+            ranks = []
+            for t, s in zip(targets[order].tolist(), pos_scores[order].tolist()):
+                rank = 1 + np.count_nonzero(row > s) + np.count_nonzero(row[:t] == s)
+                if rank > k_max:
+                    break
+                ranks.append(rank)
+            for k, (recall, ndcg) in zip(ks, _recall_ndcg(ranks, len(targets),
+                                                          ks, ideal)):
+                recall_acc[k] += recall
+                ndcg_acc[k] += ndcg
     n_eval = len(users)
     return MetricsReport(
         recall={k: recall_acc[k] / n_eval for k in ks},

@@ -23,7 +23,7 @@ from urbanrec import evaluation as ev
 from urbanrec import model as md
 from urbanrec import propagation as pg
 from urbanrec import training as tr
-from urbanrec.counterfactual import score_catalog
+from urbanrec.counterfactual import score_users
 from urbanrec.interactions import split_dataset
 from urbanrec.synthgen import CityConfig, generate_city
 
@@ -50,13 +50,13 @@ def test_criterion_2_debiased_score_closed_form():
     p_g, p_f = rng.normal(size=(2, 100, 16))
     u, p = (u_g + u_f) / 2, (p_g + p_f) / 2
     finals = pg.FinalEmbeddings(*(ad.Tensor(a) for a in (u_g, u_f, p_g, p_f, u, p)))
-    tie = np.stack([score_catalog(finals, i, "tie") for i in range(100)])
+    tie = score_users(finals, np.arange(100), "tie")
     y_up = np.einsum("ud,pd->up", u, p)
     y_ug = np.einsum("ud,pd->up", u_g, p_g)
     closed = (y_up - y_up.mean(axis=1, keepdims=True)) * np.tanh(y_ug)
     worst = float(np.max(np.abs(tie - closed)))
     ok = worst < 1e-10
-    line = _report(2, ok, f"max |score_catalog tie - (y_up - mean_p y_up) * tanh(y_ug)| "
+    line = _report(2, ok, f"max |score_users tie - (y_up - mean_p y_up) * tanh(y_ug)| "
                           f"= {worst:.2e} over 10^4 random user-POI pairs (< 1e-10)")
     assert ok, line
 

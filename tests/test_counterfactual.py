@@ -221,6 +221,33 @@ def test_score_candidates_matches_pairwise():
         assert abs(up_vec[i] - b["y_up"]) < 1e-12
 
 
+def test_score_users_rows_match_score_catalog():
+    rng = np.random.default_rng(10)
+    finals = make_finals(rng, n_users=40, n_pois=30)
+    users = rng.permutation(40)[:35]
+    for scorer in cf.SCORERS:
+        block = cf.score_users(finals, users, scorer)
+        assert block.shape == (35, 30)
+        for row, u in zip(block, users):
+            np.testing.assert_allclose(row, catalog(finals, scorer, u),
+                                       rtol=0, atol=1e-12)
+
+
+def test_score_users_rows_equal_score_catalog_on_small_integers():
+    # small-integer coordinates make every product and sum exact, so the
+    # matrix-matrix product of a block and the matrix-vector product of one
+    # user give the same bits; the catalog mean over 15 POIs is not exact,
+    # and the reference score must still not depend on the block
+    rng = np.random.default_rng(11)
+    ints = lambda n: rng.integers(-3, 4, size=(n, 5)).astype(float)
+    finals = finals_from(ints(6), ints(15), u_g=ints(6), p_g=ints(15))
+    users = [4, 0, 5, 2, 2]
+    for scorer in cf.SCORERS:
+        block = cf.score_users(finals, users, scorer)
+        for row, u in zip(block, users):
+            np.testing.assert_array_equal(row, catalog(finals, scorer, u))
+
+
 def test_score_candidates_rejects_unknown_scorer():
     rng = np.random.default_rng(7)
     finals = make_finals(rng)

@@ -1,5 +1,6 @@
 """Ranking metric tests, including the hand-computed 4-user fixture."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -254,10 +255,9 @@ def test_evaluate_excluded_never_ranked():
     assert len(ranked) == 17
 
 
-def test_evaluate_matches_per_user_reference():
-    """The batched argsort path must equal a plain rank_candidates loop."""
-    rng = np.random.default_rng(9)
-    n_users, n_pois, d = 12, 40, 6
+def random_finals_and_split(rng, n_users=12, n_pois=40, d=6):
+    """Finals of normal draws, and a split giving each user 8 train, 2 val
+    and 3 test POIs."""
     mk = lambda arr: ad.Tensor(np.ascontiguousarray(arr))
     finals = FinalEmbeddings(mk(rng.normal(size=(n_users, d))),
                              mk(rng.normal(size=(n_users, d))),
@@ -272,7 +272,13 @@ def test_evaluate_matches_per_user_reference():
         val.update((u, int(p)) for p in pois[8:10])
         test.update((u, int(p)) for p in pois[10:])
     mks = lambda ps: InteractionSet(n_users, n_pois, frozenset(ps))
-    split = DatasetSplit(mks(train), mks(val), mks(test))
+    return finals, DatasetSplit(mks(train), mks(val), mks(test))
+
+
+def test_evaluate_matches_per_user_reference():
+    """The batched argsort path must equal a plain rank_candidates loop."""
+    finals, split = random_finals_and_split(np.random.default_rng(9))
+    n_users = split.n_users
     for scorer in ("y_up", "te", "tie"):
         report = ev.evaluate(finals, split, scorer=scorer, ks=(1, 5, 17),
                              seed=3, with_auc=True)
@@ -343,10 +349,10 @@ def test_rank_candidates_exact_ties_match_lexsort_oracle():
     assert straddled == 3 * split.n_users
 
 
-def assert_evaluate_matches_per_user_loop(finals, split, ks):
+def assert_evaluate_matches_per_user_loop(finals, split, ks, ties=True):
     """evaluate equals recall_at_k, ndcg_at_k and pair_auc over a plain
     rank_candidates loop, with ``==``, for every scorer and both targets;
-    some score ties must straddle a cut-off."""
+    with ``ties``, some score ties must straddle a cut-off."""
     for scorer in ("tie", "te", "y_up"):
         for target, seen in (("test", (split.train, split.val)),
                              ("val", (split.train,))):
@@ -367,7 +373,7 @@ def assert_evaluate_matches_per_user_loop(finals, split, ks):
                                        score_candidates(finals, u, negs, scorer))
                 scores = score_candidates(finals, u, ranked, scorer)
                 straddled += sum(scores[k - 1] == scores[k] for k in ks)
-            assert straddled > 0
+            assert straddled > 0 or not ties
             report = ev.evaluate(finals, split, scorer=scorer, target=target,
                                  ks=ks, seed=5)
             n = split.n_users
@@ -389,6 +395,29 @@ def test_evaluate_stops_past_every_k_exactly_under_ties():
     finals, split = tied_finals_and_split(np.random.default_rng(13),
                                           sizes=(6, 20, 24))
     assert_evaluate_matches_per_user_loop(finals, split, (1, 2, 3, 5, 8, 13))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 32])
+def test_evaluate_does_not_depend_on_the_block_size(block, monkeypatch):
+    # 40 users span two 32-row blocks.  A one-row block scores through the
+    # matrix-vector product rank_candidates uses, a larger one through the
+    # matrix-matrix product, whose last bits may differ but not its ranks.
+    monkeypatch.setattr(ev, "BLOCK_USERS", block)
+    finals, split = tied_finals_and_split(np.random.default_rng(11), n_users=40)
+    assert_evaluate_matches_per_user_loop(finals, split, (1, 2, 3, 5, 8, 13))
+    finals, split = random_finals_and_split(np.random.default_rng(14), n_users=40)
+    assert_evaluate_matches_per_user_loop(finals, split, (1, 5, 17), ties=False)
+
+
+@pytest.mark.parametrize("n_users,n_pois", [(3, 6), (2, 10), (3, 14)],
+                         ids=["fewer-pois", "fewer-users", "more-pois"])
+def test_evaluate_rejects_finals_of_another_size(n_users, n_pois):
+    finals = finals_from_scores(np.zeros((3, 10)))
+    mk = lambda ps: InteractionSet(n_users, n_pois, frozenset(ps))
+    split = DatasetSplit(mk({(0, 0)}), mk(set()), mk({(1, 5)}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"(3, 10) but the split has ({n_users}, {n_pois})")):
+        ev.evaluate(finals, split, scorer="y_up")
 
 
 def test_evaluate_peak_memory_does_not_grow_with_users():
