@@ -20,7 +20,10 @@ Functional NDCG is this same evaluate over GroundTruth.functional_split,
 whose test view holds every user's top-affinity POIs and whose train and
 val views are empty, so the whole catalog is ranked.  rank_candidates,
 recall_at_k and ndcg_at_k are the list-based reference that tests and the
-benchmark check evaluate against.
+benchmark check evaluate against.  rank_candidates returns int32 POI ids,
+ordered by numpy's default (SIMD) argsort; when the sorted scores hold a
+tie or a NaN it sorts again with a stable sort, so ties still go to the
+smaller id.
 """
 
 from __future__ import annotations
@@ -51,13 +54,23 @@ class EmptyTestSet(ValueError):
 
 def rank_candidates(user: int, finals: FinalEmbeddings, scorer: str,
                     exclude: np.ndarray) -> np.ndarray:
-    """All POIs minus ``exclude``, best score first, ties by ascending id."""
+    """All POIs minus ``exclude`` as int32 ids, best score first, ties by
+    ascending id (NaN scores last).
+
+    numpy's default sort orders the scores; it may put equal scores in any
+    order, so when the sorted scores hold an equal pair or a NaN, a stable
+    sort over the ascending ids orders them again.
+    """
     keep = np.ones(finals.p.data.shape[0], dtype=bool)
     keep[np.asarray(exclude, dtype=np.int64)] = False
-    candidates = np.flatnonzero(keep)
+    candidates = np.flatnonzero(keep).astype(np.int32)
     neg = -score_candidates(finals, user, candidates, scorer)
-    # stable over the ascending ids: equal scores keep the smaller id first
-    return candidates[np.argsort(neg, kind="stable")]
+    order = np.argsort(neg)
+    s = neg[order]
+    # NaNs sort last; -0.0 == 0.0 counts as a tie
+    if len(s) and (np.isnan(s[-1]) or (s[1:] == s[:-1]).any()):
+        order = np.argsort(neg, kind="stable")
+    return candidates[order]
 
 
 def _ideal_dcg(max_count: int) -> np.ndarray:

@@ -349,6 +349,71 @@ def test_rank_candidates_exact_ties_match_lexsort_oracle():
     assert straddled == 3 * split.n_users
 
 
+def one_user_finals(match, gate):
+    """Finals of one user whose y_up scores are ``match`` and whose te
+    scores are match * tanh(gate), so a zero match takes the gate's sign."""
+    one = ad.Tensor(np.ones((1, 1)))
+    col = lambda v: ad.Tensor(np.asarray(v, dtype=float)[:, None])
+    return FinalEmbeddings(one, one, col(gate), col(match), one, col(match))
+
+
+def hard_catalog(kind, n=5000):
+    """(finals, scorer) of one user over ``n`` POIs whose scores are of one
+    hard kind for a sort: many ties, NaNs, or zeros of both signs."""
+    rng = np.random.default_rng(21)
+    gate = rng.normal(size=n)
+    if kind == "few-integers":
+        return one_user_finals(rng.integers(-3, 4, size=n), gate), "y_up"
+    if kind == "nan":
+        match = rng.normal(size=n)
+        match[rng.choice(n, size=40, replace=False)] = np.nan
+        return one_user_finals(match, gate), "y_up"
+    if kind == "nan-among-integers":
+        match = rng.integers(-3, 4, size=n).astype(float)
+        match[rng.choice(n, size=40, replace=False)] = np.nan
+        return one_user_finals(match, gate), "y_up"
+    match = np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))
+    return one_user_finals(match, gate), "te"
+
+
+@pytest.mark.parametrize("kind", ["few-integers", "nan", "nan-among-integers",
+                                  "signed-zeros"])
+def test_rank_candidates_hard_scores_match_lexsort_oracle(kind):
+    # large enough for numpy's vector sort, which may order equal scores,
+    # NaNs, and -0.0 against +0.0 in any way
+    finals, scorer = hard_catalog(kind)
+    n = finals.p.data.shape[0]
+    ids = np.arange(n)
+    scores = score_candidates(finals, 0, ids, scorer)
+    if kind == "nan":
+        # only the NaN check can send this catalog to the stable sort
+        finite = scores[np.isfinite(scores)]
+        assert len(np.unique(finite)) == len(finite)
+    if kind == "signed-zeros":
+        zeros = scores[scores == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    if kind in ("nan", "nan-among-integers"):
+        assert np.isnan(scores).sum() == 40
+    rng = np.random.default_rng(22)
+    # the last exclusion removes every POI and must leave an empty list
+    for ex in (np.array([], dtype=np.int64),
+               rng.choice(n, size=1000, replace=False), ids):
+        ranked = ev.rank_candidates(0, finals, scorer, ex)
+        cand = np.setdiff1d(ids, ex)
+        oracle = cand[np.lexsort((cand, -scores[cand]))]
+        assert ranked.dtype == np.int32
+        np.testing.assert_array_equal(ranked, oracle)
+
+
+def test_rank_candidates_tie_free_catalog_equals_stable_argsort():
+    scores = np.random.default_rng(23).normal(size=(1, 5000))
+    assert len(np.unique(scores)) == 5000
+    finals = finals_from_scores(scores)
+    ranked = ev.rank_candidates(0, finals, "y_up", np.array([], dtype=np.int64))
+    assert ranked.dtype == np.int32
+    np.testing.assert_array_equal(ranked, np.argsort(-scores[0], kind="stable"))
+
+
 def assert_evaluate_matches_per_user_loop(finals, split, ks, ties=True):
     """evaluate equals recall_at_k, ndcg_at_k and pair_auc over a plain
     rank_candidates loop, with ``==``, for every scorer and both targets;
