@@ -7,6 +7,11 @@ small tape of :class:`Tensor` nodes and gradients are obtained by walking the
 tape backwards.  Only the handful of operations the model actually needs are
 implemented.  All data is float64.
 
+Each tape node holds a backward rule ``bwd(g)`` that maps its output
+gradient to one share per parent, in parent order, with ``None`` for a
+parent that needs no gradient.  Rules only compute shares;
+:meth:`Tensor.backward` alone adds them into the parents' ``grad``.
+
 Gradients stay on leaves only: once a tape node has passed its gradient to
 its parents, the walk drops it, so one backward never holds every
 intermediate gradient at once and a second backward over the same tape
@@ -71,8 +76,11 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar tensor through the recorded tape.
 
-        Leaves (tensors without a backward rule) accumulate into ``grad``;
-        every other node's ``grad`` is released as soon as its rule has run.
+        In reverse topological order, each node's rule turns its ``grad``
+        into one share per parent, and every share that is not ``None`` is
+        added to that parent's ``grad``.  Leaves (tensors without a
+        backward rule) keep what they accumulate; every other node's
+        ``grad`` is released as soon as its rule has run.
         """
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar tensor")
@@ -94,7 +102,9 @@ class Tensor:
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
             if node._bwd is not None:
-                node._bwd(node.grad)
+                for parent, share in zip(node._parents, node._bwd(node.grad)):
+                    if share is not None:
+                        parent._accumulate(share)
                 node.grad = None
 
     # -- operators ------------------------------------------------------------
@@ -140,7 +150,11 @@ def astensor(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple, bwd) -> Tensor:
-    """Create a tape node; constants short-circuit so the tape stays small."""
+    """Create a tape node; constants short-circuit so the tape stays small.
+
+    ``bwd(g)`` returns a tuple with one gradient share per parent, in
+    ``parents`` order, or ``None`` for a parent that needs no gradient.
+    """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -152,56 +166,36 @@ def _node(data: np.ndarray, parents: tuple, bwd) -> Tensor:
 # -- arithmetic ----------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _elementwise(op, a, b, da, db) -> Tensor:
+    """``op(a, b)`` elementwise; ``da(g, a, b)`` and ``db(g, a, b)`` give each
+    side's share on the arrays, reduced back over numpy broadcasting."""
     a, b = astensor(a), astensor(b)
-    out_data = a.data + b.data
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        return tuple(_unbroadcast(d(g, a.data, b.data), t.data.shape)
+                     if t.requires_grad else None
+                     for t, d in ((a, da), (b, db)))
 
-    return _node(out_data, (a, b), bwd)
+    return _node(op(a.data, b.data), (a, b), bwd)
+
+
+def add(a, b) -> Tensor:
+    return _elementwise(np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    out_data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _node(out_data, (a, b), bwd)
+    return _elementwise(np.subtract, a, b, lambda g, x, y: g,
+                        lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    out_data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(out_data, (a, b), bwd)
+    return _elementwise(np.multiply, a, b, lambda g, x, y: g * y,
+                        lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    out_data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out_data, (a, b), bwd)
+    return _elementwise(np.divide, a, b, lambda g, x, y: g / y,
+                        lambda g, x, y: -g * x / (y * y))
 
 
 def matmul(a, b) -> Tensor:
@@ -209,39 +203,27 @@ def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul supports 2-D operands only")
-    out_data = a.data @ b.data
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
-    return _node(out_data, (a, b), bwd)
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def transpose(a) -> Tensor:
     a = astensor(a)
     if a.ndim != 2:
         raise ValueError("transpose supports 2-D tensors only")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _node(a.data.T, (a,), bwd)
+    return _node(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
-
-    return _node(a.data.reshape(shape), (a,), bwd)
+    return _node(a.data.reshape(shape), (a,),
+                 lambda g: (g.reshape(a.data.shape),))
 
 
 # -- reductions ------------------------------------------------------------------
@@ -259,13 +241,8 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.nda
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = astensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims))
-
-    return _node(out_data, (a,), bwd)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_expand_reduced(g, a.data.shape, axis, keepdims),))
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -274,12 +251,8 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     n = a.data.size if axis is None else np.prod(
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims) / n)
-
-    return _node(out_data, (a,), bwd)
+    return _node(out_data, (a,), lambda g: (
+        _expand_reduced(g, a.data.shape, axis, keepdims) / n,))
 
 
 # -- indexing and sparse aggregation ----------------------------------------------
@@ -293,12 +266,11 @@ def gather(a, idx) -> Tensor:
         raise ValueError("gather takes a 2-D tensor and a 1-D index array")
 
     def bwd(g):
-        if a.requires_grad:
-            # scatter-add via one flat bincount; much faster than np.add.at
-            n_rows, cols = a.data.shape
-            flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-            a._accumulate(np.bincount(flat, weights=g.ravel(),
-                                      minlength=n_rows * cols).reshape(n_rows, cols))
+        # scatter-add via one flat bincount; much faster than np.add.at
+        n_rows, cols = a.data.shape
+        flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+        return (np.bincount(flat, weights=g.ravel(),
+                            minlength=n_rows * cols).reshape(n_rows, cols),)
 
     return _node(a.data[idx], (a,), bwd)
 
@@ -308,10 +280,9 @@ def rows(a, start: int, stop: int) -> Tensor:
     a = astensor(a)
 
     def bwd(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[start:stop] = g
-            a._accumulate(ga)
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
 
     return _node(a.data[start:stop], (a,), bwd)
 
@@ -374,14 +345,15 @@ def relational_spmm(op: RelationalOperator, x, r) -> Tensor:
         np.multiply(agg[b], r.data[k], out=gated[b])
 
     def bwd(g):
+        # one gather serves both shares: r's reads it, then x's scales it
         gd = g[op.row_dst]
-        if r.requires_grad:
-            r._accumulate(np.stack([np.einsum("nd,nd->d", agg[b], gd[b])
-                                    for b in blocks]))
-        if x.requires_grad:
-            for k, b in enumerate(blocks):
-                gd[b] *= r.data[k]
-            x._accumulate(op.rows_t @ gd)
+        gr = np.stack([np.einsum("nd,nd->d", agg[b], gd[b])
+                       for b in blocks]) if r.requires_grad else None
+        if not x.requires_grad:
+            return None, gr
+        for k, b in enumerate(blocks):
+            gd[b] *= r.data[k]
+        return op.rows_t @ gd, gr
 
     return _node(op.collapse @ gated, (x, r), bwd)
 
@@ -390,13 +362,7 @@ def spmm(mat: sp.spmatrix, x, mat_t: sp.spmatrix) -> Tensor:
     """Multiply a constant sparse matrix with a dense tensor; ``mat_t`` is
     its transpose in CSR form, which the backward pass multiplies by."""
     x = astensor(x)
-    out_data = mat @ x.data
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(mat_t @ g)
-
-    return _node(out_data, (x,), bwd)
+    return _node(mat @ x.data, (x,), lambda g: (mat_t @ g,))
 
 
 # -- nonlinearities -----------------------------------------------------------------
@@ -410,9 +376,8 @@ def softmax(a, axis=-1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        if a.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - inner))
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - inner),)
 
     return _node(y, (a,), bwd)
 
@@ -423,32 +388,20 @@ def sqrt(a) -> Tensor:
     y = np.sqrt(a.data)
 
     def bwd(g):
-        if a.requires_grad:
-            safe = np.where(a.data > 0.0, np.maximum(y, 1e-300), 1.0)
-            a._accumulate(g * np.where(a.data > 0.0, 0.5 / safe, 0.0))
+        safe = np.where(a.data > 0.0, np.maximum(y, 1e-300), 1.0)
+        return (g * np.where(a.data > 0.0, 0.5 / safe, 0.0),)
 
     return _node(y, (a,), bwd)
 
 
 def absval(a) -> Tensor:
     a = astensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
-
-    return _node(np.abs(a.data), (a,), bwd)
+    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 def clamp_min(a, lo: float) -> Tensor:
     a = astensor(a)
-    y = np.maximum(a.data, lo)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > lo))
-
-    return _node(y, (a,), bwd)
+    return _node(np.maximum(a.data, lo), (a,), lambda g: (g * (a.data > lo),))
 
 
 def softplus(a) -> Tensor:
@@ -457,10 +410,9 @@ def softplus(a) -> Tensor:
     y = np.logaddexp(0.0, a.data)
 
     def bwd(g):
-        if a.requires_grad:
-            # derivative is sigmoid(x), evaluated stably
-            s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                         np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-            a._accumulate(g * s)
+        # derivative is sigmoid(x), evaluated stably
+        s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
+                     np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+        return (g * s,)
 
     return _node(y, (a,), bwd)

@@ -124,6 +124,8 @@ def _read_config_file(path: str, keys) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         if key not in by_name:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: repeated config key {key!r}")
         out[key] = _parse_value(by_name[key], raw)
     return out
 

@@ -152,8 +152,10 @@ def split_dataset(iset: InteractionSet, ratios: tuple[float, float, float],
     with pairs pulled back from test then val if train would end up empty.
     """
     _, r_val, r_test = ratios
-    if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios must be positive and sum to 1, got {ratios}")
+    if not (np.all(np.isfinite(ratios)) and min(ratios) > 0
+            and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise BadRatios(f"ratios must be finite, positive and sum to 1, "
+                        f"got {ratios}")
     # 0/1/2 = train/val/test for each row of iset.ids
     labels = np.zeros(len(iset), dtype=np.int8)
     starts = iset.indptr.tolist()

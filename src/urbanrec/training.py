@@ -371,8 +371,12 @@ def run_gradcheck(step: float = 1e-4, threshold: float = 1e-4,
     """Compare tape gradients with central finite differences.
 
     ``corrupt`` names a tensor whose analytic gradient is deliberately
-    damaged before comparison; used to prove the check can fail.
+    damaged before comparison; used to prove the check can fail.  ``step``
+    and ``threshold`` must be finite and > 0.
     """
+    for name, value in (("step", step), ("threshold", threshold)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if corrupt is not None and corrupt not in PARAM_NAMES:
         raise ValueError(f"cannot corrupt {corrupt!r}: the tensors are "
                          f"{', '.join(PARAM_NAMES)}")

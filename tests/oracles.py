@@ -125,7 +125,8 @@ def retaining_backward(root) -> None:
 
     The same depth-first topological order as ``Tensor.backward``, so sums
     into each gradient run in the same order; only the release of
-    intermediate gradients is left out.
+    intermediate gradients is left out: each rule's shares are added to
+    its parents' grads in parent order.
     """
     topo, seen, stack = [], set(), [(root, False)]
     while stack:
@@ -143,7 +144,9 @@ def retaining_backward(root) -> None:
     root.grad = np.ones(())
     for node in reversed(topo):
         if node._bwd is not None:
-            node._bwd(node.grad)
+            for parent, share in zip(node._parents, node._bwd(node.grad)):
+                if share is not None:
+                    parent.grad = share if parent.grad is None else parent.grad + share
 
 
 # -- check-in draw -----------------------------------------------------------------

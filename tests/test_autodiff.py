@@ -35,6 +35,25 @@ def check(build, x0: np.ndarray, rtol: float = 1e-6, atol: float = 1e-8):
     np.testing.assert_allclose(t.grad, num, rtol=rtol, atol=atol)
 
 
+def check_one_variable(build, operands, variable: int):
+    """Only ``operands[variable]`` is tracked: its tape gradient of scalar
+    build(*Tensors) matches finite differences, and every constant
+    operand's grad stays None.  Returns the tracked gradient."""
+    tensors = [ad.Tensor(v.copy(), requires_grad=i == variable)
+               for i, v in enumerate(operands)]
+    build(*tensors).backward()
+
+    def at(v):
+        return float(build(*(ad.Tensor(v if i == variable else o)
+                             for i, o in enumerate(operands))).data)
+
+    grad = tensors[variable].grad
+    np.testing.assert_allclose(grad, fd_grad(at, operands[variable].copy()),
+                               rtol=1e-6, atol=1e-8)
+    assert all(t.grad is None for i, t in enumerate(tensors) if i != variable)
+    return grad
+
+
 RNG = np.random.default_rng(12345)
 
 
@@ -76,6 +95,15 @@ def test_matmul_left_and_right():
 def test_matmul_rejects_1d():
     with pytest.raises(ValueError):
         ad.matmul(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize("variable", [0, 1], ids=["left", "right"])
+def test_matmul_constant_side_gets_no_gradient(variable):
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=(3, 2))
+    check_one_variable(lambda a, b: ((a @ b) * w).sum(),
+                       [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
+                       variable)
 
 
 def test_transpose():
@@ -214,6 +242,21 @@ def test_relational_spmm_matches_stacked_on_default_city(side):
     dst, src, rel = build_adjacency(sub)
     assert_matches_stacked(dst, src, rel, sub.n_relations,
                            sub.n_pois + sub.entity_count, d=32)
+
+
+@pytest.mark.parametrize("variable", [0, 1], ids=["node-table", "relation-table"])
+def test_relational_spmm_constant_operand_gets_no_gradient(variable):
+    rng = np.random.default_rng(7)
+    dst, src, rel = (np.array(a) for a in ([0, 0, 0, 1, 1, 2, 3, 3],
+                                           [2, 2, 1, 0, 3, 4, 0, 4],
+                                           [1, 1, 0, 3, 0, 1, 3, 0]))
+    op = ad.RelationalOperator.from_edges(dst, src, rel, n_rel=4, n=5)
+    x0, r0, w = (rng.normal(size=shape) for shape in ((5, 3), (4, 3), (5, 3)))
+    grad = check_one_variable(
+        lambda x, r: (ad.relational_spmm(op, x, r) * w).sum(), [x0, r0], variable)
+    # the one-sided rule gives the tracked operand the two-sided share exactly
+    want = stacked_reference(dst, src, rel, 4, 5, x0, r0, w)[1 + variable]
+    assert np.array_equal(grad, want)
 
 
 def test_relational_spmm_rejects_mismatched_table():

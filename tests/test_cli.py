@@ -244,6 +244,26 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "n_userz" in err
 
 
+def test_config_file_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed=1\n# a comment\nseed=2\n")
+    assert run("gen", "--out", str(tmp_path / "x"), "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == (
+        f"error UsageError: {cfg}:3: repeated config key 'seed'\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_rejects_nan_ratio(tmp_path, capsys):
+    gen_city(tmp_path / "city")
+    capsys.readouterr()
+    assert run("train", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
+               "--train-ratio", "nan") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error BadRatios: ratios must be finite")
+    assert not (tmp_path / "run").exists()
+
+
 def test_gradcheck_passes(capsys):
     assert run("gradcheck") == 0
     out = capsys.readouterr().out
@@ -280,6 +300,17 @@ def test_gradcheck_corruption_fails_with_tensor_named(capsys):
     last = out.strip().splitlines()[-1]
     assert last.startswith("FAIL")
     assert "worst_tensor=R_f" in last
+
+
+@pytest.mark.parametrize("flag, raw", [("--step", "nan"), ("--step", "0"),
+                                       ("--threshold", "nan"),
+                                       ("--threshold", "-1")])
+def test_gradcheck_bad_step_or_threshold_is_a_failure(flag, raw, capsys):
+    assert run("gradcheck", flag, raw) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error ValueError: {flag[2:]} must be finite and "
+                            f"> 0, got {float(raw)!r}\n")
 
 
 def test_ablate_writes_three_rows(tmp_path, capsys):

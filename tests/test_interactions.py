@@ -140,6 +140,17 @@ def test_split_bad_ratios():
             ia.split_dataset(iset, ratios, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_split_rejects_non_finite_ratio(bad, position):
+    # a NaN compares false both ways, so no range test alone can catch it
+    ratios = [0.8, 0.1, 0.1]
+    ratios[position] = bad
+    with pytest.raises(ia.BadRatios, match="finite"):
+        ia.split_dataset(make_set({(0, 0), (0, 1), (0, 2)}, 1, 3),
+                         tuple(ratios), seed=0)
+
+
 def test_bpr_forced_negative():
     pairs = {(0, 0)}
     split = ia.split_dataset(make_set(pairs, 1, 2), (0.8, 0.1, 0.1), seed=0)

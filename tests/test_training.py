@@ -247,6 +247,18 @@ def test_gradcheck_rejects_unknown_tensor_before_any_work(monkeypatch):
         tr.run_gradcheck(corrupt="bogus")
 
 
+def test_gradcheck_rejects_bad_step_and_threshold_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradcheck built or differentiated a model")
+    monkeypatch.setattr(tr, "tiny_instance", no_work)
+    monkeypatch.setattr(tr, "backward", no_work)
+    for name in ("step", "threshold"):
+        for value in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be finite and > 0, got {value!r}")):
+                tr.run_gradcheck(**{name: value})
+
+
 def test_gradcheck_detects_corruption():
     report = tr.run_gradcheck(corrupt="R_f")
     assert not report.passed
