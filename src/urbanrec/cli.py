@@ -188,6 +188,21 @@ def _load_ground_truth(data_dir: str):
     return parse_ground_truth(path.read_text())
 
 
+def _check_gen_config(data_dir: str, truth: CityConfig) -> None:
+    """A gen.config beside the data must echo, key for key, the city that
+    the ground truth's header names."""
+    path = Path(data_dir) / "gen.config"
+    if not path.exists():
+        return
+    echo = _read_config_file(str(path), GEN_KEYS)
+    for name, typ, default in GEN_KEYS:
+        want, have = getattr(truth, name), echo.get(name, default)
+        if want != have:
+            raise ValueError(
+                f"{name}={_format_value(typ, want)} in ground_truth.txt but "
+                f"gen.config has {name}={_format_value(typ, have)}")
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -344,14 +359,15 @@ def cmd_ablate(args) -> int:
     values = _resolve(args, ABLATE_KEYS)
     if values["blended"]:
         raise UsageError("ablate controls the blended flag itself")
-    functional = _load_ground_truth(args.data).functional_split(
-        values["functional_fraction"])
+    truth = _load_ground_truth(args.data)
+    functional = truth.functional_split(values["functional_fraction"])
     kg, split = _load_split(args.data, values, values["seed"])
     if (functional.n_users, functional.n_pois) != (split.n_users, split.n_pois):
         raise ValueError(
             f"ground_truth.txt is for {functional.n_users} users x "
             f"{functional.n_pois} POIs but the data has {split.n_users} users "
             f"x {split.n_pois} POIs")
+    _check_gen_config(args.data, truth.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -96,8 +96,20 @@ def _recall_ndcg(ranks: list, count: int, ks, ideal: np.ndarray) -> list:
             for h in hits]
 
 
+def _check_ks(ks) -> tuple:
+    """``ks`` as a tuple; an empty one, or a cutoff below 1, raises."""
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("ks must hold at least one cutoff")
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k!r}")
+    return ks
+
+
 def _at_k(ranked: np.ndarray, positives, k: int) -> tuple:
     """Recall@k and NDCG@k of a ranked list against a positive set."""
+    _check_ks((k,))
     pos = set(int(p) for p in positives)
     if not pos:
         raise EmptyTestSet("no test positives for this user")
@@ -186,8 +198,8 @@ def evaluate(finals: FinalEmbeddings, split: DatasetSplit, scorer: str = "tie",
     if shape != (split.n_users, split.n_pois):
         raise ValueError(f"finals hold (users, POIs) = {shape} but the split "
                          f"has {(split.n_users, split.n_pois)}")
-    ks = tuple(ks)
-    k_max = max(ks, default=0)
+    ks = _check_ks(ks)
+    k_max = max(ks)
     target_set = split.test if target == "test" else split.val
     counts = np.diff(target_set.indptr)
     users = np.flatnonzero(counts).tolist()

@@ -6,6 +6,10 @@ against the functional subgraph.  Each chunk's table also holds that side's
 non-POI entities, laid out [users, POIs, entities].  Intents are softmax
 mixtures over relation embeddings; all six tensors, the mixture scores S
 included, start Xavier-uniform, so the intents start distinct.
+
+The parameter tensors are constants, so a forward pass over them records no
+tape.  A training step differentiates through :meth:`ModelParams.leaves`,
+gradient leaves over the same arrays.
 """
 
 from __future__ import annotations
@@ -74,9 +78,10 @@ class ModelDims:
 
 @dataclass
 class ModelParams:
-    """The six trainable tensors.  ``blended`` marks checkpoints trained on
-    the unsplit graph (the no-disentanglement ablation), where both sides
-    cover all entities and all 16 relations."""
+    """The six trainable tensors, held as constants: ``leaves`` gives a
+    training step its gradient leaves over the same arrays.  ``blended``
+    marks checkpoints trained on the unsplit graph (the no-disentanglement
+    ablation), where both sides cover all entities and all 16 relations."""
 
     dims: ModelDims
     E_g: ad.Tensor
@@ -93,13 +98,13 @@ class ModelParams:
     def geo_tensors(self) -> list[tuple[str, ad.Tensor]]:
         return [(n, getattr(self, n)) for n in GEO_PARAM_NAMES]
 
-    def zero_grad(self) -> None:
-        for _, t in self.named_tensors():
-            t.grad = None
+    def leaves(self) -> "ModelParams":
+        """Fresh gradient leaves over these very arrays, not copies of them."""
+        ts = {n: ad.Tensor(t.data, requires_grad=True) for n, t in self.named_tensors()}
+        return ModelParams(self.dims, blended=self.blended, **ts)
 
     def copy(self) -> "ModelParams":
-        ts = {n: ad.Tensor(t.data.copy(), requires_grad=True)
-              for n, t in self.named_tensors()}
+        ts = {n: ad.Tensor(t.data.copy()) for n, t in self.named_tensors()}
         return ModelParams(self.dims, blended=self.blended, **ts)
 
 
@@ -113,7 +118,7 @@ def init_params(dims: ModelDims, seed: int, blended: bool = False) -> ModelParam
     mats = {}
     for k, name in enumerate(PARAM_NAMES):
         rng = np.random.default_rng(np.random.SeedSequence([seed, INIT_STREAM, k]))
-        mats[name] = ad.Tensor(_xavier(rng, *dims.shapes[name]), requires_grad=True)
+        mats[name] = ad.Tensor(_xavier(rng, *dims.shapes[name]))
     return ModelParams(dims, blended=blended, **mats)
 
 
@@ -194,5 +199,5 @@ def load_checkpoint(path: str) -> ModelParams:
         count = rows * cols
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
-        mats[name] = ad.Tensor(arr.reshape(rows, cols).copy(), requires_grad=True)
+        mats[name] = ad.Tensor(arr.reshape(rows, cols).copy())
     return ModelParams(dims, blended=bool(mode), **mats)

@@ -191,12 +191,17 @@ def compute_loss(params: ModelParams, bundle: GraphBundle, users, pos, neg,
 
 def backward(params: ModelParams, bundle: GraphBundle, users, pos, neg,
              hp: HyperParams) -> tuple[dict, LossBreakdown]:
-    """Gradients of the total loss for every parameter tensor."""
-    params.zero_grad()
-    breakdown = compute_loss(params, bundle, users, pos, neg, hp)
+    """Gradients of the total loss for every parameter tensor.
+
+    The loss runs on ``params.leaves()``, fresh leaves over the parameters'
+    arrays, so the gradients live on those leaves and ``params`` stay
+    constants that record no tape.
+    """
+    leaves = params.leaves()
+    breakdown = compute_loss(leaves, bundle, users, pos, neg, hp)
     breakdown.total.backward()
     grads: dict = {}
-    for name, t in params.named_tensors():
+    for name, t in leaves.named_tensors():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient of {name} has NaN/Inf entries")

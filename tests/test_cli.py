@@ -372,6 +372,31 @@ def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
     assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
 
 
+def test_ablate_rejects_the_ground_truth_of_another_city(tmp_path, capsys):
+    # the same size, so only gen.config can tell the cities apart
+    gen_city(tmp_path / "city")
+    gen_city(tmp_path / "other", "--seed", "3")
+    (tmp_path / "city" / "ground_truth.txt").write_text(
+        (tmp_path / "other" / "ground_truth.txt").read_text())
+    capsys.readouterr()
+    assert run("ablate", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert err == ("error ValueError: seed=3 in ground_truth.txt but gen.config "
+                   "has seed=2\n")
+    assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
+
+
+def test_gen_config_matches_its_own_ground_truth(tmp_path):
+    # a float key too, whose echo and header must round-trip to one value
+    city = tmp_path / "city"
+    gen_city(city, "--geo-strength", "2.7")
+    truth = cli._load_ground_truth(str(city)).config
+    cli._check_gen_config(str(city), truth)
+    (city / "gen.config").unlink()
+    cli._check_gen_config(str(city), truth)  # no echo, nothing to check
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("beta1", "1.0", "must be in [0, 1)"),
     ("beta2", "1.5", "must be in [0, 1)"),

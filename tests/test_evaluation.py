@@ -225,6 +225,26 @@ def test_evaluate_rejects_unknown_scorer_before_targets():
         ev.evaluate(finals, split, scorer="magic")
 
 
+@pytest.mark.parametrize("metric", [ev.recall_at_k, ev.ndcg_at_k])
+@pytest.mark.parametrize("k", [0, -1])
+def test_metrics_at_k_reject_a_cutoff_below_one(metric, k):
+    with pytest.raises(ValueError, match=re.escape(f"k must be >= 1, got {k}")):
+        metric(np.arange(10), [5], k)
+
+
+@pytest.mark.parametrize("ks,message", [
+    ((0,), "k must be >= 1, got 0"), ((20, -1), "k must be >= 1, got -1"),
+    ((), "ks must hold at least one cutoff")])
+def test_evaluate_rejects_a_bad_cutoff_before_targets(ks, message):
+    # with no targets, a bad cutoff must not hide behind an undefined report
+    mk = lambda ps: InteractionSet(2, 4, frozenset(ps))
+    for test in (set(), {(0, 2)}):
+        split = DatasetSplit(mk({(0, 0), (1, 1)}), mk(set()), mk(test))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ev.evaluate(finals_from_scores(np.zeros((2, 4))), split,
+                        scorer="y_up", ks=ks)
+
+
 def test_evaluate_oracle_scorer_perfect_ndcg():
     # scorer puts all test positives first: ndcg=1, recall = 1 when K covers
     scores = np.zeros((1, 30))

@@ -245,6 +245,7 @@ def test_graph_bundle_poi_count_mismatch():
 
 def test_gradients_flow_through_propagation():
     kg, split, dims, params, bundle = random_setup(13)
+    params = params.leaves()
     finals = pg.forward(params, bundle)
     loss = (finals.u * finals.u).sum() + (finals.p * finals.p).sum()
     loss.backward()

@@ -4,6 +4,7 @@ import gc
 import re
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import oracles
 from urbanrec import autodiff as ad
 from urbanrec import training as tr
 from urbanrec.interactions import batch_arrays, sample_bpr_batch, split_dataset
-from urbanrec.model import IntentSet, init_params
+from urbanrec.model import IntentSet, init_params, load_checkpoint, save_checkpoint
 from urbanrec.propagation import build_graphs, dims_for, forward
 from urbanrec.synthgen import CityConfig, generate_city
 
@@ -398,13 +399,12 @@ def test_fit_frees_each_step_tape(monkeypatch):
 
 
 def test_fit_drops_each_step_gradients(monkeypatch):
-    # step k's gradients must be garbage once step k+1's backward has reset
-    # the parameters' own, or they sit beside the next step's whole tape
+    # step k's gradients live on step k's own leaves and must be garbage
+    # when step k+1's backward starts, or they sit beside its whole tape
     split, bundle, dims = _tiny_fit_setup()
     refs, backward = [], tr.backward
 
     def watching_backward(params, *rest):
-        params.zero_grad()  # backward's own first act
         if refs:
             assert refs[-1]() is None
         grads, breakdown = backward(params, *rest)
@@ -428,12 +428,65 @@ def _default_city_step():
 
 def test_backward_matches_a_retaining_walk():
     params, bundle, batch, hp = _default_city_step()
-    breakdown = tr.compute_loss(params, bundle, *batch, hp)
+    leaves = params.leaves()
+    breakdown = tr.compute_loss(leaves, bundle, *batch, hp)
     oracles.retaining_backward(breakdown.total)
-    want = {name: t.grad for name, t in params.named_tensors()}
+    want = {name: t.grad for name, t in leaves.named_tensors()}
     grads, _ = tr.backward(params, bundle, *batch, hp)
     for name, g in want.items():
         assert np.array_equal(grads[name], g), name
+
+
+def _assert_no_tape(finals):
+    for f in fields(finals):
+        t = getattr(finals, f.name)
+        assert t._parents == () and not t.requires_grad, f.name
+
+
+def test_forward_on_parameters_records_no_tape(tmp_path):
+    split, bundle, dims = _tiny_fit_setup()
+    params = init_params(dims, seed=0)
+    save_checkpoint(params, str(tmp_path / "checkpoint.bin"))
+    fitted, _ = tr.fit(split, bundle, dims, tr.HyperParams(max_epochs=2), seed=0)
+    for made in (params, load_checkpoint(str(tmp_path / "checkpoint.bin")),
+                 params.copy(), fitted):
+        _assert_no_tape(forward(made, bundle))
+
+
+def test_leaves_are_gradient_leaves_over_the_same_arrays():
+    params = tr.tiny_instance()[0]
+    leaves = params.leaves()
+    assert (leaves.dims, leaves.blended) == (params.dims, params.blended)
+    for (name, t), (_, leaf) in zip(params.named_tensors(), leaves.named_tensors()):
+        assert leaf.data is t.data, name
+        assert leaf.requires_grad and leaf.grad is None, name
+        assert not t.requires_grad, name
+
+
+def test_a_training_step_keeps_the_parameters_constant():
+    params, bundle, (users, pos, neg), hp = tr.tiny_instance()
+    arrays = {name: t.data for name, t in params.named_tensors()}
+    before = {name: a.copy() for name, a in arrays.items()}
+    grads, _ = tr.backward(params, bundle, users, pos, neg, hp)
+    tr.adam_step(params, grads, tr.AdamState.for_params(params), hp)
+    for name, t in params.named_tensors():
+        assert t.grad is None and not t.requires_grad, name
+        assert t.data is arrays[name], name
+        assert not np.array_equal(t.data, before[name]), name  # updated in place
+
+
+def test_forward_on_parameters_holds_only_its_finals():
+    # with a tape, the finals would keep every layer's values alive: at the
+    # default city that is several times the finals' own bytes
+    params, bundle, _, _ = _default_city_step()
+    tracemalloc.start()
+    try:
+        finals = forward(init_params(params.dims, seed=0), bundle)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sum(getattr(finals, f.name).data.nbytes for f in fields(finals))
+    assert held <= 1.1 * own
 
 
 def test_backward_peak_stays_near_the_forward_tape():
@@ -441,10 +494,11 @@ def test_backward_peak_stays_near_the_forward_tape():
     # intermediate gradients are released and 1.63x when every node keeps
     # its gradient to the end of the walk
     params, bundle, batch, hp = _default_city_step()
+    leaves = params.leaves()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        breakdown = tr.compute_loss(params, bundle, *batch, hp)
+        breakdown = tr.compute_loss(leaves, bundle, *batch, hp)
         tape = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         breakdown.total.backward()
