@@ -10,11 +10,10 @@ graph.  The acceptance suite runs this at three seeds; this script walks one
 seed so the pieces are visible.  Expect a couple of minutes.
 """
 
-from urbanrec.evaluation import evaluate
+from urbanrec.ablation import format_row, run_ablation
 from urbanrec.interactions import split_dataset
-from urbanrec.propagation import build_graphs, dims_for, forward
 from urbanrec.synthgen import CityConfig, generate_city
-from urbanrec.training import HyperParams, fit
+from urbanrec.training import HyperParams
 
 ###############################################################################
 # A mid-sized city with a strong planted confounder.
@@ -25,51 +24,30 @@ kg, checkins, truth = generate_city(cfg)
 split = split_dataset(checkins, (0.8, 0.1, 0.1), seed=seed)
 hp = HyperParams()  # defaults: lr 1e-3, batch 1024, patience 10, 30 epochs
 
-bundle = build_graphs(kg, split)
-dims = dims_for(kg, split, d=32, n_intents=4, n_layers=3)
-print("training the split-graph model...")
-params, log = fit(split, bundle, dims, hp, seed=seed)
-finals = forward(params, bundle)
-print(f"  stopped after {len(log)} epochs, "
-      f"best val recall@20 {max(r['val_recall20'] for r in log):.3f}")
-
 ###############################################################################
-# Claim 1: debiased vs factual ranking of the same checkpoint, scored
-# against ground-truth functional preference (which the generator knows and
-# the model never saw).  The whole catalog is ranked: true relevance is
-# independent of which check-ins happened to be observed, so the functional
-# split's test view holds each user's top 5% by true affinity and its train
-# and val views are empty.
+# The rows `urbanrec ablate` writes.  Claim 1 compares "full" (debiased)
+# with "no_counterfactual" (the same checkpoint, factual ranking) on
+# functional_ndcg@20: ground-truth functional preference, which the generator
+# knows and the model never saw, with the whole catalog ranked.  Claim 2
+# compares "full" with "no_disentangle" (the blended model, where neither
+# chunk is forced to specialize) on test recall@20.
 
 functional = truth.functional_split(0.05)
-scores = {scorer: evaluate(finals, functional, scorer, ks=(20,),
-                           with_auc=False).ndcg[20]
-          for scorer in ("tie", "te")}
-print(f"\nfunctional ndcg@20, debiased ranking: {scores['tie']:.4f}")
-print(f"functional ndcg@20, factual ranking:  {scores['te']:.4f}")
+for variant in run_ablation(kg, split, functional, hp, seed=seed,
+                            eval_seed=seed, d=32, n_intents=4, n_layers=3):
+    print(f"trained {variant.label}: stopped after {len(variant.log)} epochs, "
+          f"best val recall@20 {max(r['val_recall20'] for r in variant.log):.3f}")
+    for row in variant.rows:
+        print("  " + format_row(row))
+    if variant.label == "full":
+        finals = variant.finals
 
 ###############################################################################
-# Why it works here: the city's popularity structure pushes the catalog-mean
-# reference score negative, and subtracting a negative reference lifts the
-# match score before the geography gate multiplies in - removing the
-# far-away anti-match junk the factual product promotes.
+# Why debiasing works here: the city's popularity structure pushes the
+# catalog-mean reference score negative, and subtracting a negative reference
+# lifts the match score before the geography gate multiplies in - removing
+# the far-away anti-match junk the factual product promotes.
 
 refs = finals.u.data @ finals.p_mean
 print(f"\nreference scores: mean {refs.mean():+.3f}, "
       f"{(refs < 0).mean():.0%} of users negative")
-
-###############################################################################
-# Claim 2: disentangling the graph matters for plain recommendation too.
-# The blended variant is identical except both chunks propagate over the
-# full graph, so neither chunk is forced to specialize.
-
-print("\ntraining the blended (no-disentanglement) model...")
-blend = build_graphs(kg, split, blended=True)
-bdims = dims_for(kg, split, d=32, n_intents=4, n_layers=3, blended=True)
-bparams, _ = fit(split, blend, bdims, hp, seed=seed)
-bfinals = forward(bparams, blend)
-
-for name, f in (("split", finals), ("blended", bfinals)):
-    rep = evaluate(f, split, scorer="tie", target="test", ks=(20,),
-                   seed=seed, with_auc=False)
-    print(f"  {name:>7} model: test recall@20 {rep.recall[20]:.3f}")

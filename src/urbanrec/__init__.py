@@ -21,6 +21,8 @@ evaluation      full-ranking Recall/NDCG/AUC; functional NDCG is evaluate
                 over the ground truth's functional targets
 synthgen        synthetic city generator with a controllable location bias,
                 its ground truth and the functional split drawn from it
+ablation        the paper's ablation as one pass: split-graph vs blended model,
+                debiased vs factual ranking
 cli             command line entry points (gen | train | eval | ablate | gradcheck)
 """
 

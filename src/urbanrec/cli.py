@@ -23,6 +23,7 @@ import sys
 import typing
 from pathlib import Path
 
+from .ablation import ABLATE_VARIANTS, format_row, run_ablation
 from .counterfactual import SCORERS
 from .evaluation import evaluate
 from .interactions import (InteractionSet, parse_checkins, serialize_checkins,
@@ -227,20 +228,6 @@ def _load_split(data_dir: str, values: dict, seed: int):
     return kg, split_dataset(iset, ratios, seed)
 
 
-def _train_setup(kg, split, values: dict):
-    bundle = build_graphs(kg, split, blended=values["blended"])
-    dims = dims_for(kg, split, **_pick(values, DIMS_KEYS))
-    return bundle, dims, HyperParams(**_pick(values, HP_KEYS))
-
-
-def _graph_record(kg, bundle) -> dict:
-    # every triplet enters its side's graph as two directed edges
-    return {"event": "graph", "blended": bundle.blended,
-            "geo_side_triplets": len(bundle.geo.src) // 2,
-            "func_side_triplets": len(bundle.func.src) // 2,
-            "total_triplets": len(kg.triplets)}
-
-
 def _progress_line(label: str):
     def show(record: dict) -> None:
         print(f"{label} epoch={record['epoch']} total={record['total']:.4f} "
@@ -248,27 +235,40 @@ def _progress_line(label: str):
     return show
 
 
-def _run_training(kg, split, bundle, dims, hp, seed, log_path, ckpt_path,
-                  label):
-    params, log = fit(split, bundle, dims, hp, seed,
-                      progress_fn=_progress_line(label))
-    records = [_graph_record(kg, bundle)] + log
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+def _start_run(out: Path, echo_name: str, echo: str, outputs) -> None:
+    """Write the echo before the first fit, after removing what an earlier
+    run left under this run's output names: a run failing part way leaves
+    no checkpoint beside an echo of another run, or with none."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name in outputs:
+        (out / name).unlink(missing_ok=True)
+    (out / echo_name).write_text(echo)
+
+
+def _save_run(kg, bundle, params, log, log_path, ckpt_path) -> None:
+    # every triplet enters its side's graph as two directed edges
+    graph = {"event": "graph", "blended": bundle.blended,
+             "geo_side_triplets": len(bundle.geo.src) // 2,
+             "func_side_triplets": len(bundle.func.src) // 2,
+             "total_triplets": len(kg.triplets)}
+    lines = [json.dumps(r, sort_keys=True) for r in [graph] + log]
     Path(log_path).write_text("\n".join(lines) + "\n")
     save_checkpoint(params, str(ckpt_path))
-    return params, log
 
 
 def cmd_train(args) -> int:
     values = _resolve(args, TRAIN_KEYS)
     kg, split = _load_split(args.data, values, values["seed"])
-    bundle, dims, hp = _train_setup(kg, split, values)
+    bundle = build_graphs(kg, split, blended=values["blended"])
+    dims = dims_for(kg, split, **_pick(values, DIMS_KEYS))
+    hp = HyperParams(**_pick(values, HP_KEYS))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _, log = _run_training(kg, split, bundle, dims, hp, values["seed"],
-                           out / "train_log.jsonl", out / "checkpoint.bin",
-                           "train")
-    (out / "train.config").write_text(_config_echo(TRAIN_KEYS, values))
+    _start_run(out, "train.config", _config_echo(TRAIN_KEYS, values),
+               ("train_log.jsonl", "checkpoint.bin"))
+    params, log = fit(split, bundle, dims, hp, values["seed"],
+                      progress_fn=_progress_line("train"))
+    _save_run(kg, bundle, params, log, out / "train_log.jsonl",
+              out / "checkpoint.bin")
     best = max((r["val_recall20"] for r in log), default=float("nan"))
     print(f"train out={args.out} epochs={len(log)} best_val_recall20={best!r}")
     return 0
@@ -330,31 +330,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _ablation_row(name, scorer, finals, split, functional, eval_seed) -> dict:
-    report = evaluate(finals, split, scorer=scorer, target="test",
-                      ks=(20, 40, 60), seed=eval_seed)
-    fndcg = evaluate(finals, functional, scorer, ks=(20,), with_auc=False).ndcg[20]
-    row = {"variant": name, "scorer": scorer}
-    row.update({f"recall@{k}": report.recall[k] for k in (20, 40, 60)})
-    row.update({f"ndcg@{k}": report.ndcg[k] for k in (20, 40, 60)})
-    row.update({"auc": report.auc, "functional_ndcg@20": fndcg})
-    return row
-
-
-def _format_row(row: dict) -> str:
-    # str, not repr: numpy 2 reprs a numpy float as np.float64(...)
-    return " ".join(f"{key}={value}" for key, value in row.items())
-
-
-# ablate's trained variants: (blended, label, [(row name, scorer)]).  The
-# no-counterfactual row removes counterfactual inference at ranking time:
-# the full model ranks by plain total effect instead of the debiased score.
-ABLATE_VARIANTS = (
-    (False, "full", [("full", "tie"), ("no_counterfactual", "te")]),
-    (True, "no_disentangle", [("no_disentangle", "tie")]),
-)
-
-
 def cmd_ablate(args) -> int:
     values = _resolve(args, ABLATE_KEYS)
     if values["blended"]:
@@ -362,28 +337,25 @@ def cmd_ablate(args) -> int:
     truth = _load_ground_truth(args.data)
     functional = truth.functional_split(values["functional_fraction"])
     kg, split = _load_split(args.data, values, values["seed"])
-    if (functional.n_users, functional.n_pois) != (split.n_users, split.n_pois):
-        raise ValueError(
-            f"ground_truth.txt is for {functional.n_users} users x "
-            f"{functional.n_pois} POIs but the data has {split.n_users} users "
-            f"x {split.n_pois} POIs")
+    # checks the sizes and dims now; each fit runs when the loop below asks
+    variants = run_ablation(kg, split, functional,
+                            HyperParams(**_pick(values, HP_KEYS)),
+                            values["seed"], values["eval_seed"], values["d"],
+                            values["n_intents"], values["n_layers"],
+                            progress=_progress_line)
     _check_gen_config(args.data, truth.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    files = [(f"train_log_{label}.jsonl", f"{label}_checkpoint.bin")
+             for _, label, _ in ABLATE_VARIANTS]
+    _start_run(out, "ablate.config", _config_echo(ABLATE_KEYS, values),
+               ["ablation.txt", *(name for pair in files for name in pair)])
     rows = []
-    for blended, label, scored in ABLATE_VARIANTS:
-        bundle, dims, hp = _train_setup(kg, split, dict(values, blended=blended))
-        params, _ = _run_training(kg, split, bundle, dims, hp, values["seed"],
-                                  out / f"train_log_{label}.jsonl",
-                                  out / f"{label}_checkpoint.bin", label)
-        finals = forward(params, bundle)
-        rows += [_ablation_row(name, scorer, finals, split, functional,
-                               values["eval_seed"])
-                 for name, scorer in scored]
+    for v, (log_name, ckpt_name) in zip(variants, files):
+        _save_run(kg, v.bundle, v.params, v.log, out / log_name, out / ckpt_name)
+        rows += v.rows
 
-    lines = [_format_row(r) for r in rows]
+    lines = [format_row(r) for r in rows]
     (out / "ablation.txt").write_text("\n".join(lines) + "\n")
-    (out / "ablate.config").write_text(_config_echo(ABLATE_KEYS, values))
     for line in lines:
         print(line)
     return 0

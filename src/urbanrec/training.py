@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluation
 from .interactions import DatasetSplit, batch_arrays, sample_bpr_batch
 from .model import PARAM_NAMES, IntentSet, ModelDims, ModelParams, \
     init_params, intent_embeddings
@@ -245,11 +246,11 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
 def default_val_metric(params: ModelParams, bundle: GraphBundle,
                        split: DatasetSplit, seed: int) -> float:
     """Recall@20 on validation targets with the debiased scorer."""
-    from .evaluation import evaluate  # local import, evaluation imports nothing here
-
     finals = forward(params, bundle)
-    report = evaluate(finals, split, scorer="tie", target="val", ks=(20,),
-                      seed=seed, with_auc=False)
+    # looked up on the module at call time, so that a profiler's wrapper set
+    # there applies
+    report = evaluation.evaluate(finals, split, scorer="tie", target="val",
+                                 ks=(20,), seed=seed, with_auc=False)
     return report.recall[20] if report.defined else 0.0
 
 

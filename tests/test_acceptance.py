@@ -23,6 +23,7 @@ from urbanrec import evaluation as ev
 from urbanrec import model as md
 from urbanrec import propagation as pg
 from urbanrec import training as tr
+from urbanrec.ablation import run_ablation
 from urbanrec.counterfactual import score_users
 from urbanrec.interactions import split_dataset
 from urbanrec.synthgen import CityConfig, generate_city
@@ -202,39 +203,23 @@ def test_criterion_7_planted_bias_headline_experiment():
     t0 = time.perf_counter()
     hp = tr.HyperParams()  # lr 1e-3, lam_reg 1e-3, cf_weight 1, batch 1024,
     #                        patience 10, max_epochs 30
-    fndcg_tie, fndcg_te, recall_full, recall_blended = [], [], [], []
+    rows = []  # per seed, ablate's rows by variant name
     for s in SEEDS:
         cfg = CityConfig(n_users=500, n_pois=2000, geo_strength=5.0, seed=s)
         kg, iset, gt = generate_city(cfg)
         split = split_dataset(iset, (0.8, 0.1, 0.1), seed=s)
-
-        bundle = pg.build_graphs(kg, split)
-        dims = pg.dims_for(kg, split, d=32, n_intents=4, n_layers=3)
-        params, _ = tr.fit(split, bundle, dims, hp, seed=s)
-        finals = pg.forward(params, bundle)
         # ground-truth functional relevance is independent of the observed
         # check-ins, so the whole catalog is ranked (nothing excluded)
-        functional = gt.functional_split(0.05)
-        for scorer, acc in (("tie", fndcg_tie), ("te", fndcg_te)):
-            acc.append(ev.evaluate(finals, functional, scorer, ks=(20,),
-                                   with_auc=False).ndcg[20])
-        recall_full.append(ev.evaluate(finals, split, scorer="tie",
-                                       target="test", ks=(20,), seed=s,
-                                       with_auc=False).recall[20])
-
-        blend = pg.build_graphs(kg, split, blended=True)
-        bdims = pg.dims_for(kg, split, d=32, n_intents=4, n_layers=3,
-                            blended=True)
-        bparams, _ = tr.fit(split, blend, bdims, hp, seed=s)
-        bfinals = pg.forward(bparams, blend)
-        recall_blended.append(ev.evaluate(bfinals, split, scorer="tie",
-                                          target="test", ks=(20,), seed=s,
-                                          with_auc=False).recall[20])
+        rows.append({row["variant"]: row for variant in run_ablation(
+            kg, split, gt.functional_split(0.05), hp, seed=s, eval_seed=s,
+            d=32, n_intents=4, n_layers=3) for row in variant.rows})
     elapsed = time.perf_counter() - t0
 
-    mean_tie = float(np.mean(fndcg_tie))
-    mean_te = float(np.mean(fndcg_te))
-    margins = [rf - rb for rf, rb in zip(recall_full, recall_blended)]
+    fndcg = lambda name: float(np.mean([r[name]["functional_ndcg@20"]
+                                        for r in rows]))
+    mean_tie, mean_te = fndcg("full"), fndcg("no_counterfactual")
+    margins = [r["full"]["recall@20"] - r["no_disentangle"]["recall@20"]
+               for r in rows]
     debias_wins = mean_tie > mean_te
     disentangle_wins = all(m >= 0.0 for m in margins)
     in_budget = elapsed < 900.0

@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from urbanrec import cli
-from urbanrec import ukg
+from urbanrec import ablation, cli, ukg
 from urbanrec.interactions import parse_checkins
+from urbanrec.training import DivergedLoss
 
 CITY_FLAGS = ["--n-users", "24", "--n-pois", "60", "--n-regions", "4",
               "--n-business-areas", "8", "--n-brands", "12", "--n-cate1", "2",
@@ -355,7 +355,7 @@ def test_ablate_rejects_a_bad_functional_fraction_before_training(
     assert err.count("\n") == 1
     assert err.startswith("error ValueError: functional fraction must be in "
                           f"(0, 1], got {float(fraction)!r}")
-    assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
+    assert not (tmp_path / "abl").exists()  # nothing written
 
 
 def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
@@ -369,7 +369,7 @@ def test_ablate_rejects_a_ground_truth_of_another_size(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error ValueError: ground_truth.txt is for 30 users x 80 "
                    "POIs but the data has 24 users x 60 POIs\n")
-    assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
+    assert not (tmp_path / "abl").exists()  # nothing written
 
 
 def test_ablate_rejects_the_ground_truth_of_another_city(tmp_path, capsys):
@@ -384,7 +384,7 @@ def test_ablate_rejects_the_ground_truth_of_another_city(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error ValueError: seed=3 in ground_truth.txt but gen.config "
                    "has seed=2\n")
-    assert not (tmp_path / "abl" / "full_checkpoint.bin").exists()
+    assert not (tmp_path / "abl").exists()  # nothing written
 
 
 def test_gen_config_matches_its_own_ground_truth(tmp_path):
@@ -412,7 +412,7 @@ def test_train_rejects_a_bad_optimizer_setting(tmp_path, capsys, field, value,
                "--out", str(tmp_path / "run"), *TRAIN_FLAGS,
                "--" + field.replace("_", "-"), value) == 1
     assert capsys.readouterr().err == f"error ValueError: {field} {message}\n"
-    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+    assert not (tmp_path / "run").exists()  # nothing written
 
 
 SEED_OPTIONS = [(command, name)
@@ -483,15 +483,63 @@ def test_eval_binds_to_trained_split(tmp_path, capsys):
                ckpt, "--split-seed", "1", "--train-ratio", "0.8") == 0
 
 
-def test_eval_binds_to_ablate_split(tmp_path, capsys):
+def test_eval_binds_to_ablate_split(tmp_path, capsys, monkeypatch):
     gen_city(tmp_path / "city")
-    assert run("ablate", "--data", str(tmp_path / "city"),
-               "--out", str(tmp_path / "abl"), *TRAIN_FLAGS, "--seed", "2") == 0
+    abl = tmp_path / "abl"
+    assert run("ablate", "--data", str(tmp_path / "city"), "--out", str(abl),
+               *TRAIN_FLAGS) == 0
+    # a re-run on another split whose blended fit fails after the full
+    # checkpoint is saved: the echo binds it all the same, and nothing of the
+    # first run is left beside that echo
+    fit = ablation.fit
+
+    def fit_full_only(split, bundle, *args, **kwargs):
+        if bundle.blended:
+            raise DivergedLoss("total loss 1.000e+07 at epoch 1")
+        return fit(split, bundle, *args, **kwargs)
+
+    monkeypatch.setattr(ablation, "fit", fit_full_only)
+    assert run("ablate", "--data", str(tmp_path / "city"), "--out", str(abl),
+               *TRAIN_FLAGS, "--seed", "2") == 1
+    assert sorted(p.name for p in abl.iterdir()) == [
+        "ablate.config", "full_checkpoint.bin", "train_log_full.jsonl"]
     capsys.readouterr()
+    ckpt = str(abl / "full_checkpoint.bin")
     assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
-               str(tmp_path / "abl" / "full_checkpoint.bin"),
-               "--split-seed", "0") == 1
+               ckpt, "--split-seed", "0") == 1
     assert capsys.readouterr().err.startswith("error SplitMismatch:")
+    assert run("eval", "--data", str(tmp_path / "city"), "--checkpoint",
+               ckpt) == 0
+    assert "split_seed=2\n" in (abl / "metrics_tie_test.json.config").read_text()
+
+
+def test_a_failed_train_leaves_no_checkpoint_of_an_earlier_run(
+        tmp_path, capsys, monkeypatch):
+    gen_city(tmp_path / "city")
+    train(tmp_path / "city", tmp_path / "run")
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: 1 / 0)  # fails
+    assert run("train", "--data", str(tmp_path / "city"),
+               "--out", str(tmp_path / "run"), *TRAIN_FLAGS, "--seed", "1") == 1
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["train.config"]
+    assert "seed=1\n" in (tmp_path / "run" / "train.config").read_text()
+
+
+def test_ablate_reruns_are_byte_identical(tmp_path, capsys):
+    gen_city(tmp_path / "city")
+    names = ("ablation.txt", "ablate.config", "full_checkpoint.bin",
+             "no_disentangle_checkpoint.bin")
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        capsys.readouterr()
+        assert run("ablate", "--data", str(tmp_path / "city"),
+                   "--out", str(out), *TRAIN_FLAGS) == 0
+        # the logs are deterministic apart from wall-clock timings
+        logs = [[{k: v for k, v in json.loads(ln).items() if k != "wall_time_s"}
+                 for ln in (out / f"train_log_{x}.jsonl").read_text()
+                 .splitlines()] for x in ("full", "no_disentangle")]
+        runs.append((capsys.readouterr().out, logs,
+                     [file_hash(out / name) for name in names]))
+    assert runs[0] == runs[1]
 
 
 def test_train_and_ablate_report_progress_on_stderr(tmp_path, capsys):
